@@ -225,17 +225,18 @@ bool band_identity(bool bit_true, ptc::ExecutionPath fast_path) {
 
 /// Operand bytes one 8×8 tile step moves at reduction length k, computed
 /// from the element sizes the tier actually touches: (h+w)·k operand
-/// loads, h·w double output stores, plus the fast tiers' per-column
-/// cached Σy² scratch.  The quant tier streams int16 codes where the
-/// double tiers stream 8-byte amplitudes — the "halves memory traffic"
-/// claim, derived from sizeof rather than asserted.
+/// loads, h·w double output stores, plus, on the fast tiers, the w
+/// column norms Σy² a tile step reads (computed once per product by
+/// run_product_fast/_quant, not per tile).  The quant tier streams int16
+/// codes where the double tiers stream 8-byte amplitudes — the "halves
+/// memory traffic" claim, derived from sizeof rather than asserted.
 std::size_t tier_bytes_per_tile(ptc::ExecutionPath path, std::size_t k) {
   const std::size_t h = 8, w = 8;
   const std::size_t elem = path == ptc::ExecutionPath::kKernelQuant ? sizeof(std::int16_t)
                                                                     : sizeof(double);
   std::size_t bytes = (h + w) * k * elem + h * w * sizeof(double);
   if (path == ptc::ExecutionPath::kKernelSimd || path == ptc::ExecutionPath::kKernelQuant) {
-    bytes += w * sizeof(double);  // run_tile_fast/_quant column Σy² scratch
+    bytes += w * sizeof(double);  // hoisted per-column Σy² reads
   }
   return bytes;
 }

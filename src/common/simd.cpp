@@ -32,25 +32,6 @@ double dot_portable(const double* x, const double* y, std::size_t n) {
   return acc;
 }
 
-double dot_self_portable(const double* x, std::size_t n) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  std::size_t p = 0;
-  for (; p + 4 <= n; p += 4) {
-    a0 += x[p + 0] * x[p + 0];
-    a1 += x[p + 1] * x[p + 1];
-    a2 += x[p + 2] * x[p + 2];
-    a3 += x[p + 3] * x[p + 3];
-  }
-  double acc = (a0 + a1) + (a2 + a3);
-  for (; p < n; ++p) acc += x[p] * x[p];
-  return acc;
-}
-
-void dot4_portable(const double* x, const double* const y[4], std::size_t n,
-                   double out[4]) {
-  for (int b = 0; b < 4; ++b) out[b] = dot_portable(x, y[b], n);
-}
-
 // ---------------------------------------------------------------------------
 // Integer tier (exact).  Every path computes the mathematical sum over ℤ
 // — no rounding, no reassociation sensitivity — so portable and AVX2
@@ -121,44 +102,34 @@ double dot_avx2(const double* x, const double* y, std::size_t n) {
   return acc;
 }
 
+/// R rows against four columns: per output, one 4-wide FMA chain, the
+/// (l0+l1)+(l2+l3) fold, then the scalar tail.  dot4 is R = 1 and dot2x4
+/// is R = 2; the per-output sequence does not depend on R, which is what
+/// makes the two bitwise equal.  R = 2 holds eight accumulators, two row
+/// vectors and one column vector: 11 of the 16 ymm registers, no spills.
+template <int R>
 __attribute__((target("avx2,fma")))
-double dot_self_avx2(const double* x, std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t p = 0;
-  for (; p + 8 <= n; p += 8) {
-    const __m256d v0 = _mm256_loadu_pd(x + p);
-    const __m256d v1 = _mm256_loadu_pd(x + p + 4);
-    acc0 = _mm256_fmadd_pd(v0, v0, acc0);
-    acc1 = _mm256_fmadd_pd(v1, v1, acc1);
+void rows_x4_avx2(const double* const x[R], const double* const y[4], std::size_t n,
+                  double* out) {
+  __m256d acc[R][4];
+  for (int r = 0; r < R; ++r) {
+    for (int b = 0; b < 4; ++b) acc[r][b] = _mm256_setzero_pd();
   }
-  if (p + 4 <= n) {
-    const __m256d v0 = _mm256_loadu_pd(x + p);
-    acc0 = _mm256_fmadd_pd(v0, v0, acc0);
-    p += 4;
-  }
-  double acc = hfold(_mm256_add_pd(acc0, acc1));
-  for (; p < n; ++p) acc += x[p] * x[p];
-  return acc;
-}
-
-__attribute__((target("avx2,fma")))
-void dot4_avx2(const double* x, const double* const y[4], std::size_t n,
-               double out[4]) {
-  __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
-                    _mm256_setzero_pd(), _mm256_setzero_pd()};
   std::size_t p = 0;
   for (; p + 4 <= n; p += 4) {
-    const __m256d xv = _mm256_loadu_pd(x + p);
-    acc[0] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(y[0] + p), acc[0]);
-    acc[1] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(y[1] + p), acc[1]);
-    acc[2] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(y[2] + p), acc[2]);
-    acc[3] = _mm256_fmadd_pd(xv, _mm256_loadu_pd(y[3] + p), acc[3]);
+    __m256d xv[R];
+    for (int r = 0; r < R; ++r) xv[r] = _mm256_loadu_pd(x[r] + p);
+    for (int b = 0; b < 4; ++b) {
+      const __m256d yv = _mm256_loadu_pd(y[b] + p);
+      for (int r = 0; r < R; ++r) acc[r][b] = _mm256_fmadd_pd(xv[r], yv, acc[r][b]);
+    }
   }
-  for (int b = 0; b < 4; ++b) {
-    double s = hfold(acc[b]);
-    for (std::size_t q = p; q < n; ++q) s += x[q] * y[b][q];
-    out[b] = s;
+  for (int r = 0; r < R; ++r) {
+    for (int b = 0; b < 4; ++b) {
+      double s = hfold(acc[r][b]);
+      for (std::size_t q = p; q < n; ++q) s += x[r][q] * y[b][q];
+      out[4 * r + b] = s;
+    }
   }
 }
 
@@ -250,20 +221,29 @@ double dot(const double* x, const double* y, std::size_t n) {
 }
 
 double dot_self(const double* x, std::size_t n) {
-#if PDAC_SIMD_X86
-  if (g_avx2) return dot_self_avx2(x, n);
-#endif
-  return dot_self_portable(x, n);
+  // Same loads, same multiply-adds, same fold: the self dot IS dot(x, x).
+  return dot(x, x, n);
 }
 
 void dot4(const double* x, const double* const y[4], std::size_t n, double out[4]) {
 #if PDAC_SIMD_X86
   if (g_avx2) {
-    dot4_avx2(x, y, n, out);
+    rows_x4_avx2<1>(&x, y, n, out);
     return;
   }
 #endif
-  dot4_portable(x, y, n, out);
+  for (int b = 0; b < 4; ++b) out[b] = dot_portable(x, y[b], n);
+}
+
+void dot2x4(const double* const x[2], const double* const y[4], std::size_t n,
+            double out[2][4]) {
+#if PDAC_SIMD_X86
+  if (g_avx2) {
+    rows_x4_avx2<2>(x, y, n, out[0]);
+    return;
+  }
+#endif
+  for (int r = 0; r < 2; ++r) dot4(x[r], y, n, out[r]);
 }
 
 std::int64_t dot_i16(const std::int16_t* x, const std::int16_t* y, std::size_t n,

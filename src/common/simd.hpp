@@ -21,8 +21,10 @@
 // floating-point reassociation (and FMA's skipped intermediate
 // roundings), i.e. by O(ε·n·|x|·|y|) — exactly the error family the
 // ABFT guard band (ptc::guard_tolerance) is calibrated to absorb.  The
-// dispatch is deterministic per machine: identical inputs give identical
-// bits run-to-run; only cross-ISA runs may differ, and only in-band.
+// dispatch is deterministic per machine and build: identical inputs give
+// identical bits run-to-run; cross-ISA runs may differ, and so may builds
+// at different optimization levels (the compiler schedules the scalar
+// tails differently), but only in-band.
 // The integer tier (ptc::ExecutionPath::kKernelQuant, DESIGN.md §15) has
 // a stronger contract than the double tier: its dot products are EXACT
 // sums over ℤ — integer addition is associative, so the AVX2 and
@@ -55,6 +57,14 @@ namespace pdac::simd {
 /// Four dots sharing one x row: out[b] = Σ_p x[p]·y[b][p].  One load of
 /// x feeds all four columns, the fast tier's tile-blocking shape.
 void dot4(const double* x, const double* const y[4], std::size_t n, double out[4]);
+
+/// Two rows against the same four columns: out[r][b] = Σ_p x[r][p]·y[b][p].
+/// Each output's multiply-add sequence and fold are exactly dot4's, so
+/// the block equals dot4(x[0], y) and dot4(x[1], y) bit for bit; it only
+/// loads each column element once for both rows (the product sweep's
+/// register block).
+void dot2x4(const double* const x[2], const double* const y[4], std::size_t n,
+            double out[2][4]);
 
 /// Exact integer dot Σ_p x[p]·y[p] over int16 codes.  `max_abs` bounds
 /// |x[p]| and |y[p]| (≥ 1, ≤ 32767 — the quantizer's max_code) and sets

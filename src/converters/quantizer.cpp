@@ -12,12 +12,6 @@ Quantizer::Quantizer(int bits) : bits_(bits) {
   max_code_ = static_cast<std::int32_t>((1 << (bits - 1)) - 1);
 }
 
-std::int32_t Quantizer::encode(double r) const {
-  const double clamped = std::clamp(r, -1.0, 1.0);
-  const auto code = static_cast<std::int32_t>(std::lround(clamped * max_code_));
-  return std::clamp(code, -max_code_, max_code_);
-}
-
 double Quantizer::decode(std::int32_t code) const {
   PDAC_REQUIRE(code >= -max_code_ && code <= max_code_, "Quantizer: code out of range");
   return static_cast<double>(code) / static_cast<double>(max_code_);

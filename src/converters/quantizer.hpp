@@ -7,6 +7,7 @@
 // rescaled after detection.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -22,8 +23,21 @@ class Quantizer {
   /// Largest positive code = 2^{b−1} − 1 (also the scale denominator).
   [[nodiscard]] std::int32_t max_code() const { return max_code_; }
 
-  /// Quantize r ∈ [−1, 1] to the nearest code (saturating outside).
-  [[nodiscard]] std::int32_t encode(double r) const;
+  /// Quantize r ∈ [−1, 1] to the nearest code, halves away from zero
+  /// (saturating outside; NaN → 0).  Equal to lround(clamp(r)·max_code)
+  /// without the libm call: |r·max_code| ≤ 32767, so truncation is exact
+  /// and so is the fractional part it leaves, which then rounds the
+  /// truncated code one step away from zero at ≥ ½.  Inline because every
+  /// operand element and every ADC sample passes through it.
+  [[nodiscard]] std::int32_t encode(double r) const {
+    const double v = std::clamp(r, -1.0, 1.0) * max_code_;
+    if (v != v) return 0;
+    const auto code = static_cast<std::int32_t>(v);
+    const double frac = v - code;
+    // Branch-free fix-up: operand fractions are unpredictable.
+    return code + static_cast<std::int32_t>(frac >= 0.5) -
+           static_cast<std::int32_t>(frac <= -0.5);
+  }
   /// Analog value of a code: c / (2^{b−1} − 1).
   [[nodiscard]] double decode(std::int32_t code) const;
   /// encode→decode round trip (the value the hardware actually computes with).

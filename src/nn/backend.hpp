@@ -189,7 +189,7 @@ std::unique_ptr<GemmBackend> make_photonic_ideal_dac_backend(int bits,
 }
 
 /// GemmConfig pinned to the fused kernel's SIMD fast tier
-/// (ptc/kernel.hpp run_tile_fast): explicit 4/8-wide blocked reductions
+/// (ptc/kernel.hpp run_product_fast): explicit 4/8-wide blocked reductions
 /// via common/simd.hpp.  Event counts stay field-for-field identical to
 /// the scalar kernel; outputs are tolerance-banded (reassociated
 /// arithmetic) rather than bit-exact, inside the ABFT guard band.  Use
@@ -201,7 +201,7 @@ std::unique_ptr<GemmBackend> make_photonic_ideal_dac_backend(int bits,
 }
 
 /// GemmConfig pinned to the fused kernel's integer tier
-/// (ptc/kernel.hpp run_tile_quant, DESIGN.md §15): operands carried as
+/// (ptc/kernel.hpp run_product_quant, DESIGN.md §15): operands carried as
 /// int16 quantizer codes, reductions as EXACT int16×int16→int64 dots,
 /// scale + dark applied once at readout.  Valid only for engines whose
 /// encode LUT sits bitwise on the quantizer grid (the

@@ -96,10 +96,23 @@ PreparedOperand PhotonicGemm::prepare_b(const Matrix& b, std::uint64_t epoch) co
   pb.epoch = epoch;
 
   // Keep B column-major-friendly by transposing once, then normalize
-  // into the modulators' (−1, 1) domain.
-  norm_scratch_.resize(b.cols(), b.rows());
-  for (std::size_t r = 0; r < b.rows(); ++r) {
-    for (std::size_t c = 0; c < b.cols(); ++c) norm_scratch_(c, r) = b(r, c) / pb.scale;
+  // into the modulators' (−1, 1) domain.  The transpose walks 32×32
+  // blocks so both the rows read and the columns written stay in cache;
+  // each element still gets the same single divide.
+  const std::size_t k = b.rows();
+  const std::size_t n = b.cols();
+  norm_scratch_.resize(n, k);
+  const double* const src = b.data().data();
+  double* const dst = norm_scratch_.data().data();
+  constexpr std::size_t kBlock = 32;
+  for (std::size_t r0 = 0; r0 < k; r0 += kBlock) {
+    const std::size_t r1 = std::min(r0 + kBlock, k);
+    for (std::size_t c0 = 0; c0 < n; c0 += kBlock) {
+      const std::size_t c1 = std::min(c0 + kBlock, n);
+      for (std::size_t r = r0; r < r1; ++r) {
+        for (std::size_t c = c0; c < c1; ++c) dst[c * k + r] = src[r * n + c] / pb.scale;
+      }
+    }
   }
   finish_prepare(pb);
   return pb;
@@ -332,46 +345,56 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
   // against the *golden* encodings — b.reference when the operand
   // carries a calibration-state snapshot (faults layer), b.encoded
   // otherwise (the immutable healthy path, where they coincide).
+  // The raw tile sums compared with them live in two product-wide
+  // arrays, each tile's slice contiguous: rsum[s·m + i] for column
+  // stripe s, csum[(i/H)·n + j] for row stripe i/H.
   const Matrix& bref = (guarded && b.reference.size() > 0) ? b.reference : b.encoded;
+  const std::size_t m = a.rows();
+  const std::size_t n = b.cols;
+  double* rsum = nullptr;
+  double* csum = nullptr;
   if (guarded) {
-    const std::size_t row_stripes = (a.rows() + cfg_.array_rows - 1) / cfg_.array_rows;
+    const std::size_t row_stripes = (m + cfg_.array_rows - 1) / cfg_.array_rows;
+    const std::size_t col_stripes = (n + cfg_.array_cols - 1) / cfg_.array_cols;
     xsum_scratch_.resize(row_stripes, k);
     std::fill(xsum_scratch_.data().begin(), xsum_scratch_.data().end(), 0.0);
-    for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t i = 0; i < m; ++i) {
       const auto src = ae.row(i);
       const auto dst = xsum_scratch_.row(i / cfg_.array_rows);
       for (std::size_t p = 0; p < k; ++p) dst[p] += src[p];
     }
     check_scratch_.assign(tiles.size(), TileCheck{});
+    rsum_scratch_.assign(col_stripes * m, 0.0);
+    csum_scratch_.assign(row_stripes * n, 0.0);
+    rsum = rsum_scratch_.data();
+    csum = csum_scratch_.data();
   }
 
+  // The fast tiers run the whole product in one sweep (kernel.hpp);
+  // the per-tile pass below then only charges events and checks guards.
   const ExecutionPath path = cfg_.path;
+  const bool product_level = path == ExecutionPath::kKernelSimd || quant;
+  if (path == ExecutionPath::kKernelSimd) {
+    kernel_.run_product_fast(ae, b.encoded, cfg_.array_rows, cfg_.array_cols, rescale, *pool_,
+                             res.c, rsum, csum);
+  } else if (quant) {
+    // The guard below still compares the raw sums against the double
+    // references, band unchanged.
+    kernel_.run_product_quant(qcode_scratch_, b.qcodes, cfg_.array_rows, cfg_.array_cols,
+                              rescale, *pool_, res.c, rsum, csum);
+  }
+
   for_each_tile(*pool_, tiles, [&](std::size_t t, std::size_t worker) {
     const Tile& tile = tiles[t];
+    double* const trsum = guarded ? rsum + tile.col0 / cfg_.array_cols * m + tile.row0 : nullptr;
+    double* const tcsum = guarded ? csum + tile.row0 / cfg_.array_rows * n + tile.col0 : nullptr;
     EventCounter reduction;  // detection / ddot_ops / macs from the dots run
-    // Raw (pre-rescale) tile sums for the checksum comparison; tiny and
-    // tile-local, so the allocation stays off the unguarded path.
-    std::vector<double> rsum, csum;
-    if (guarded) {
-      rsum.assign(tile.rows, 0.0);
-      csum.assign(tile.cols, 0.0);
-    }
-    if (path == ExecutionPath::kKernel) {
+    if (product_level) {
+      reduction = kernel_.tile_events(tile, k);
+    } else if (path == ExecutionPath::kKernel) {
       // Fused flat-array kernel: the whole tile in one pass, raw sums
       // accumulated in the same order as the device-graph loop below.
-      kernel_.run_tile(tile, ae, b.encoded, rescale, res.c, &reduction,
-                       guarded ? rsum.data() : nullptr, guarded ? csum.data() : nullptr);
-    } else if (path == ExecutionPath::kKernelSimd) {
-      // SIMD fast tier: tolerance-banded vs the scalar kernel, event
-      // charges identical; the guard below runs on it unchanged.
-      kernel_.run_tile_fast(tile, ae, b.encoded, rescale, res.c, &reduction,
-                            guarded ? rsum.data() : nullptr, guarded ? csum.data() : nullptr);
-    } else if (path == ExecutionPath::kKernelQuant) {
-      // Integer tier: the same quadratic form over exact int16 code dots
-      // (run_tile_quant); the guard below still compares the raw sums
-      // against the double references, band unchanged.
-      kernel_.run_tile_quant(tile, qcode_scratch_, b.qcodes, rescale, res.c, &reduction,
-                             guarded ? rsum.data() : nullptr, guarded ? csum.data() : nullptr);
+      kernel_.run_tile(tile, ae, b.encoded, rescale, res.c, &reduction, trsum, tcsum);
     } else {
       const Ddot& ddot = worker_ddots_[worker];
       DdotScratch& scratch = worker_scratch_[worker];
@@ -383,8 +406,8 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
                                                     &reduction, &ddot, &scratch);
           res.c(i, j) = raw * rescale;
           if (guarded) {
-            rsum[i - tile.row0] += raw;
-            csum[j - tile.col0] += raw;
+            trsum[i - tile.row0] += raw;
+            tcsum[j - tile.col0] += raw;
           }
         }
       }
@@ -420,7 +443,7 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
         const auto xr = ae.row(i);
         double ref = 0.0;
         for (std::size_t p = 0; p < k; ++p) ref += xr[p] * ysum[p];
-        note(std::abs(rsum[i - tile.row0] - ref), tol_row);
+        note(std::abs(trsum[i - tile.row0] - ref), tol_row);
       }
       // Column lanes: Σ_i tile(i,j) vs ⟨Σ_i x′_i, golden y′_j⟩.
       const auto xsum = xsum_scratch_.row(tile.row0 / cfg_.array_rows);
@@ -428,7 +451,7 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
         const auto yr = bref.row(j);
         double ref = 0.0;
         for (std::size_t p = 0; p < k; ++p) ref += xsum[p] * yr[p];
-        note(std::abs(csum[j - tile.col0] - ref), tol_col);
+        note(std::abs(tcsum[j - tile.col0] - ref), tol_col);
       }
       check_scratch_[t] = check;
     }

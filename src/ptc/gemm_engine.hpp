@@ -289,6 +289,8 @@ class PhotonicGemm {
   mutable std::vector<Tile> tile_scratch_;
   mutable std::vector<EventCounter> event_scratch_;
   mutable Matrix xsum_scratch_;               // guarded path: A row-stripe checksums
+  mutable std::vector<double> rsum_scratch_;  // guarded path: raw tile row sums
+  mutable std::vector<double> csum_scratch_;  // guarded path: raw tile column sums
   mutable std::vector<TileCheck> check_scratch_;
 };
 

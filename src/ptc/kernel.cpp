@@ -5,24 +5,25 @@
 
 #include "common/require.hpp"
 #include "common/simd.hpp"
-#include "converters/electrical_adc.hpp"
 
 namespace pdac::ptc {
 
 namespace {
 
-// Reduces NB independent dots against a shared x row in one pass.  Each
-// dot's own floating-point sequence is exactly the one FusedKernel::reduce
-// performs — the dots are merely interleaved, never mixed — so the results
-// are bit-identical to NB separate reduce() calls.  The payoff is ILP: a
-// single dot is latency-bound on its two serial accumulation chains
-// (sum_p/sum_m), while NB dots give the core 2·NB independent chains plus
-// one load of x and the lane coefficients per NB dots.
+// Reduces NB independent dots against a shared x row in one pass — the
+// scalar tier's only reduction (NB = 1 for a single dot).  Each dot keeps
+// its own serial floating-point sequence; the dots are merely
+// interleaved, never mixed, so NB-wide blocking changes no bit.  The
+// payoff is ILP: a single dot is latency-bound on its two accumulation
+// chains (sp/sm), while NB dots give the core 2·NB independent chains
+// plus one load of x and the lane coefficients per NB dots.
 template <std::size_t NB>
 void reduce_block(const LaneTransfer* lanes, std::size_t nl, const DetectorTransfer& det,
                   bool full_optics, const double* xe, const double* const* ys, std::size_t n,
                   double* out) {
   if (!full_optics) {
+    // Fast-path engines reduce encoded amplitudes directly; the chunked
+    // loop flattens to one pass (chunk boundaries do not reassociate).
     double acc[NB] = {};
     for (std::size_t p = 0; p < n; ++p) {
       const double x = xe[p];
@@ -42,13 +43,29 @@ void reduce_block(const LaneTransfer* lanes, std::size_t nl, const DetectorTrans
       const double tx = ln.t * x;
       const double kx = ln.jk_im * x;
       for (std::size_t b = 0; b < NB; ++b) {
+        // The device graph expands the full complex products on (x + 0j)/
+        // (y + 0j) operands; this loop drops every term that is an exact
+        // IEEE zero there.  That is bit-preserving, not approximate:
+        //   * jk_re = 0.0·κ is a literal signed zero (couple() builds j·κ
+        //     as Complex{0,1}·κ), and every dropped term is `a·(±0)` or
+        //     `(±0) + b` / `(±0) − b`, which leave any non-zero operand's
+        //     bits untouched (q ± 0 == q, 0 − q == −q);
+        //   * the only values that CAN differ are the signs of zeros, and
+        //     every rail amplitude is consumed by |E|² below, where
+        //     (±0)² == +0 — so the chunk sums, and hence the dot, match
+        //     the device graph bit for bit;
+        //   * operand amplitudes are encode-LUT outputs, hence finite —
+        //     no NaN/Inf whose propagation a dropped term could alter.
         const double y = ys[b][base + i];
         const double lr = ln.ps_re * y;
         const double li = ln.ps_im * y;
+        // Coupler: upper' = t·x − κ·li + j·(κ·lr), lower' = t·lr + j·(κ·x + t·li).
         const double ur = tx - ln.jk_im * li;
         const double ui = ln.jk_im * lr;
         const double wr = ln.t * lr;
         const double wi = kx + ln.t * li;
+        // Balanced detection integrates I = Σ ½|E|² in ascending channel
+        // order; inactive channels contribute exactly +0.0 and are skipped.
         sp[b] += 0.5 * (ur * ur + ui * ui);
         sm[b] += 0.5 * (wr * wr + wi * wi);
       }
@@ -108,80 +125,31 @@ FusedKernel::FusedKernel(const Ddot& ddot, const DotEngineConfig& cfg) {
 }
 
 double FusedKernel::reduce(std::span<const double> xe, std::span<const double> ye) const {
-  const std::size_t n = xe.size();
-  if (!full_optics_) {
-    // Fast-path engines reduce encoded amplitudes directly; the chunked
-    // loop flattens to one pass (chunk boundaries do not reassociate).
-    double acc = 0.0;
-    for (std::size_t p = 0; p < n; ++p) acc += xe[p] * ye[p];
-    return acc;
-  }
-  const std::size_t nl = lanes_.size();
-  const LaneTransfer* const lanes = lanes_.data();
+  const double* y = ye.data();
   double acc = 0.0;
-  for (std::size_t base = 0; base < n; base += nl) {
-    const std::size_t len = std::min(nl, n - base);
-    double sum_p = 0.0;
-    double sum_m = 0.0;
-    for (std::size_t i = 0; i < len; ++i) {
-      const LaneTransfer& ln = lanes[i];
-      const double x = xe[base + i];
-      const double y = ye[base + i];
-      // The device graph expands the full complex products on (x + 0j)/
-      // (y + 0j) operands; this loop drops every term that is an exact
-      // IEEE zero there.  That is bit-preserving, not approximate:
-      //   * jk_re = 0.0·κ is a literal signed zero (couple() builds j·κ
-      //     as Complex{0,1}·κ), and every dropped term is `a·(±0)` or
-      //     `(±0) + b` / `(±0) − b`, which leave any non-zero operand's
-      //     bits untouched (q ± 0 == q, 0 − q == −q);
-      //   * the only values that CAN differ are the signs of zeros, and
-      //     every rail amplitude is consumed by |E|² below, where
-      //     (±0)² == +0 — so the chunk sums, and hence the dot, match
-      //     the device graph bit for bit;
-      //   * operand amplitudes are encode-LUT outputs, hence finite —
-      //     no NaN/Inf whose propagation a dropped term could alter.
-      const double lr = ln.ps_re * y;
-      const double li = ln.ps_im * y;
-      // Coupler: upper' = t·x − κ·li + j·(κ·lr), lower' = t·lr + j·(κ·x + t·li).
-      const double ur = ln.t * x - ln.jk_im * li;
-      const double ui = ln.jk_im * lr;
-      const double wr = ln.t * lr;
-      const double wi = ln.jk_im * x + ln.t * li;
-      // Balanced detection integrates I = Σ ½|E|² in ascending channel
-      // order; inactive channels contribute exactly +0.0 and are skipped.
-      sum_p += 0.5 * (ur * ur + ui * ui);
-      sum_m += 0.5 * (wr * wr + wi * wi);
-    }
-    acc += (det_.gain_plus * sum_p + det_.dark_plus) -
-           (det_.gain_minus * sum_m + det_.dark_minus);
-  }
+  reduce_block<1>(lanes_.data(), lanes_.size(), det_, full_optics_, xe.data(), &y, xe.size(),
+                  &acc);
   return acc;
 }
 
-double FusedKernel::apply_adc(double acc, std::size_t n) const {
-  if (!adc_) return acc;
-  const double fs = adc_full_scale_ > 0.0
-                        ? adc_full_scale_
-                        : static_cast<double>(std::max<std::size_t>(n, 1));
+converters::ElectricalAdc FusedKernel::make_adc(std::size_t k) const {
+  // The ADC's behavior depends only on bits and full scale (auto: the
+  // reduction length), so one instance serves every dot of a tile or
+  // product.
   converters::ElectricalAdcConfig ac;
   ac.bits = adc_bits_;
-  ac.v_ref = fs;
-  return converters::ElectricalAdc(ac).sample_to_voltage(acc);
+  ac.v_ref = adc_full_scale_ > 0.0 ? adc_full_scale_
+                                   : static_cast<double>(std::max<std::size_t>(k, 1));
+  return converters::ElectricalAdc(ac);
 }
 
 double FusedKernel::dot(std::span<const double> xe, std::span<const double> ye,
                         EventCounter* ev) const {
   PDAC_REQUIRE(xe.size() == ye.size(), "FusedKernel: operand length mismatch");
   const std::size_t n = xe.size();
+  if (ev != nullptr) *ev += tile_events(Tile{0, 0, 1, 1}, n);
   const double acc = reduce(xe, ye);
-  if (ev != nullptr) {
-    const std::size_t nl = lanes_.size();
-    const std::size_t chunks = (n + nl - 1) / nl;
-    ev->detection_events += chunks;
-    ev->ddot_ops += chunks;
-    ev->macs += n;
-  }
-  return apply_adc(acc, n);
+  return adc_ ? make_adc(n).sample_to_voltage(acc) : acc;
 }
 
 void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
@@ -192,18 +160,19 @@ void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
   // column capacity (PreparedOperand shape contract); every loop here
   // is bounded by the A-side k, so padding is never read.
   PDAC_REQUIRE(be.cols() >= k, "FusedKernel: operand reduction lengths must agree");
-  // The reduction length is fixed across the tile, so the ADC (whose
-  // behavior depends only on bits and full scale) is built once instead
-  // of per dot — identical round-trip, hoisted construction.
-  converters::ElectricalAdcConfig ac;
-  ac.bits = adc_bits_;
-  ac.v_ref = adc_full_scale_ > 0.0 ? adc_full_scale_
-                                   : static_cast<double>(std::max<std::size_t>(k, 1));
-  const converters::ElectricalAdc adc(ac);
+  // The reduction length is fixed across the tile, so the ADC is built
+  // once instead of per dot — identical round-trip, hoisted construction.
+  const converters::ElectricalAdc adc = make_adc(k);
+  const auto emit = [&](std::size_t i, std::size_t j, double raw) {
+    if (adc_) raw = adc.sample_to_voltage(raw);
+    c(i, j) = raw * rescale;
+    if (rsum != nullptr) rsum[i - tile.row0] += raw;
+    if (csum != nullptr) csum[j - tile.col0] += raw;
+  };
   constexpr std::size_t kBlock = 4;
   const std::size_t col_end = tile.col0 + tile.cols;
   for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-    const auto x = ae.row(i);
+    const double* x = ae.row(i).data();
     std::size_t j = tile.col0;
     // Blocked main loop: four dots per pass for ILP (see reduce_block);
     // the raw values and their rsum/csum accumulation order match the
@@ -212,220 +181,208 @@ void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
       const double* ys[kBlock];
       for (std::size_t b = 0; b < kBlock; ++b) ys[b] = be.row(j + b).data();
       double raw[kBlock];
-      reduce_block<kBlock>(lanes_.data(), lanes_.size(), det_, full_optics_, x.data(), ys, k,
-                           raw);
-      for (std::size_t b = 0; b < kBlock; ++b) {
-        double r = raw[b];
-        if (adc_) r = adc.sample_to_voltage(r);
-        c(i, j + b) = r * rescale;
-        if (rsum != nullptr) rsum[i - tile.row0] += r;
-        if (csum != nullptr) csum[j + b - tile.col0] += r;
-      }
+      reduce_block<kBlock>(lanes_.data(), lanes_.size(), det_, full_optics_, x, ys, k, raw);
+      for (std::size_t b = 0; b < kBlock; ++b) emit(i, j + b, raw[b]);
     }
-    for (; j < col_end; ++j) {
-      double raw = reduce(x, be.row(j));
-      if (adc_) raw = adc.sample_to_voltage(raw);
-      c(i, j) = raw * rescale;
-      if (rsum != nullptr) rsum[i - tile.row0] += raw;
-      if (csum != nullptr) csum[j - tile.col0] += raw;
-    }
+    for (; j < col_end; ++j) emit(i, j, reduce({x, k}, be.row(j)));
   }
-  if (ev != nullptr) {
-    // Closed form for the reduction events the device-graph loop counts
-    // dot by dot — equal because every dot charges the same chunk count.
-    const std::size_t nl = lanes_.size();
-    const std::uint64_t chunks = (k + nl - 1) / nl;
-    const std::uint64_t dots =
-        static_cast<std::uint64_t>(tile.rows) * static_cast<std::uint64_t>(tile.cols);
-    ev->detection_events += dots * chunks;
-    ev->ddot_ops += dots * chunks;
-    ev->macs += dots * static_cast<std::uint64_t>(k);
-  }
+  // Closed form for the reduction events the device-graph loop counts
+  // dot by dot — equal because every dot charges the same chunk count.
+  if (ev != nullptr) *ev += tile_events(tile, k);
 }
 
-void FusedKernel::run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix& be,
-                                double rescale, Matrix& c, EventCounter* ev, double* rsum,
-                                double* csum) const {
-  const std::size_t k = ae.cols();
+EventCounter FusedKernel::tile_events(const Tile& tile, std::size_t k) const {
+  const std::size_t nl = lanes_.size();
+  const std::uint64_t chunks = (k + nl - 1) / nl;
+  const std::uint64_t dots =
+      static_cast<std::uint64_t>(tile.rows) * static_cast<std::uint64_t>(tile.cols);
+  EventCounter ev;
+  ev.detection_events = dots * chunks;
+  ev.ddot_ops = dots * chunks;
+  ev.macs = dots * static_cast<std::uint64_t>(k);
+  return ev;
+}
+
+namespace {
+
+/// Closed quadratic form of the full-optics physics.  Every lane shares
+/// one coefficient row (the constructor assigns the same LaneTransfer to
+/// all active wavelengths — a class invariant), so the per-element rail
+/// intensities collapse algebraically:
+///
+///   sp_e = ½[t²·x² + κ²·|f|²·y² − 2tκ·ps_im·x·y]
+///   sm_e = ½[κ²·x² + t²·|f|²·y² + 2tκ·ps_im·x·y]      |f|² = ps_re²+ps_im²
+///
+///   g₊·Σsp − g₋·Σsm + chunks·(d₊ − d₋)
+///     = cxx·Σx² + cyy·Σy² + cxy·Σxy + dark
+///
+/// with cxx = ½(g₊t² − g₋κ²), cyy = ½|f|²(g₊κ² − g₋t²),
+/// cxy = −tκ·ps_im·(g₊ + g₋), dark = chunks·(d₊ − d₋).  A product then
+/// reduces to plain dot products: Σx² per A row, Σy² per B column, Σxy
+/// per output.
+struct QuadForm {
+  double cxx{0.0};
+  double cyy{0.0};
+  double cxy{0.0};
+  double dark{0.0};
+};
+
+QuadForm quad_form(const LaneTransfer& ln, const DetectorTransfer& det, std::uint64_t chunks) {
+  const double f2 = ln.ps_re * ln.ps_re + ln.ps_im * ln.ps_im;
+  const double t2 = ln.t * ln.t;
+  const double k2 = ln.jk_im * ln.jk_im;
+  QuadForm q;
+  q.cxx = 0.5 * (det.gain_plus * t2 - det.gain_minus * k2);
+  q.cyy = 0.5 * f2 * (det.gain_plus * k2 - det.gain_minus * t2);
+  q.cxy = -ln.t * ln.jk_im * ln.ps_im * (det.gain_plus + det.gain_minus);
+  q.dark = static_cast<double>(chunks) * (det.dark_plus - det.dark_minus);
+  return q;
+}
+
+/// The SIMD tier's reductions (common/simd.hpp), in amplitude units.
+struct SimdOps {
+  using Matrix_t = Matrix;
+  static constexpr std::size_t kElemBytes = sizeof(double);
+  std::size_t k;
+  double self(const double* v) const { return simd::dot_self(v, k); }
+  double dot(const double* x, const double* y) const { return simd::dot(x, y, k); }
+  void block(const double* const x[2], std::size_t rows, const double* const y[4],
+             double out[2][4]) const {
+    if (rows == 2) {
+      simd::dot2x4(x, y, k, out);
+    } else {
+      simd::dot4(x[0], y, k, out[0]);
+    }
+  }
+};
+
+/// The quant tier's exact integer reductions, scaled once to amplitude
+/// units: on-grid, x = cx/mc and y = cy/mc bitwise, so Σxy = Σcx·cy/mc²
+/// with the numerator exact (|Σcx·cy| ≤ k·mc² ≪ 2⁵³ keeps the int64 →
+/// double conversion exact too) — one division per sum instead of a
+/// k-term floating chain.  Integer sums are order-free, so a 2-row block
+/// is two 4-column dots.
+struct QuantOps {
+  using Matrix_t = CodeMatrix;
+  static constexpr std::size_t kElemBytes = sizeof(std::int16_t);
+  std::size_t k;
+  std::int32_t mc;
+  double mc2;
+  double self(const std::int16_t* v) const {
+    return static_cast<double>(simd::dot_self_i16(v, k, mc)) / mc2;
+  }
+  double dot(const std::int16_t* x, const std::int16_t* y) const {
+    return static_cast<double>(simd::dot_i16(x, y, k, mc)) / mc2;
+  }
+  void block(const std::int16_t* const x[2], std::size_t rows, const std::int16_t* const y[4],
+             double out[2][4]) const {
+    for (std::size_t r = 0; r < rows; ++r) {
+      std::int64_t ixy[4];
+      simd::dot4_i16(x[r], y, k, mc, ixy);
+      for (std::size_t b = 0; b < 4; ++b) out[r][b] = static_cast<double>(ixy[b]) / mc2;
+    }
+  }
+};
+
+/// B bytes one group of column stripes may occupy, so the group stays in
+/// L2 while every A row streams past it.  1 MiB is about half a current
+/// server core's L2; on a 2 MiB-L2 host it timed best of 16 KiB-4 MiB
+/// for BERT-base-width products.
+constexpr std::size_t kGroupBytes = std::size_t{1} << 20;
+
+/// One fast-tier product (contract: FusedKernel::run_product_fast).
+/// `qf` is null without full optics, `adc` null without ADC readout.
+template <class Ops>
+void sweep_product(const Ops& ops, const typename Ops::Matrix_t& ae,
+                   const typename Ops::Matrix_t& be, std::size_t h, std::size_t w,
+                   const QuadForm* qf, const converters::ElectricalAdc* adc, double rescale,
+                   ThreadPool& pool, Matrix& c, double* rsum, double* csum) {
+  const std::size_t m = ae.rows();
+  const std::size_t n = be.rows();
   // >=: prepared operands may pad the reduction axis with physical
-  // column capacity (PreparedOperand shape contract); every loop here
-  // is bounded by the A-side k, so padding is never read.
-  PDAC_REQUIRE(be.cols() >= k, "FusedKernel: operand reduction lengths must agree");
-  converters::ElectricalAdcConfig ac;
-  ac.bits = adc_bits_;
-  ac.v_ref = adc_full_scale_ > 0.0 ? adc_full_scale_
-                                   : static_cast<double>(std::max<std::size_t>(k, 1));
-  const converters::ElectricalAdc adc(ac);
-  const std::size_t nl = lanes_.size();
-  const std::uint64_t chunks = (k + nl - 1) / nl;
-
-  // Closed quadratic form of the full-optics physics.  Every lane shares
-  // one coefficient row (the constructor assigns the same LaneTransfer to
-  // all active wavelengths — a class invariant), so the per-element rail
-  // intensities collapse algebraically:
-  //
-  //   sp_e = ½[t²·x² + κ²·|f|²·y² − 2tκ·ps_im·x·y]
-  //   sm_e = ½[κ²·x² + t²·|f|²·y² + 2tκ·ps_im·x·y]      |f|² = ps_re²+ps_im²
-  //
-  //   g₊·Σsp − g₋·Σsm + chunks·(d₊ − d₋)
-  //     = cxx·Σx² + cyy·Σy² + cxy·Σxy + dark
-  //
-  // with cxx = ½(g₊t² − g₋κ²), cyy = ½|f|²(g₊κ² − g₋t²),
-  // cxy = −tκ·ps_im·(g₊ + g₋), dark = chunks·(d₊ − d₋).  The whole tile
-  // then reduces to plain dot products: Σx² once per row, Σy² once per
-  // column, Σxy per output — all vectorized through common/simd.hpp.
-  double cxx = 0.0;
-  double cyy = 0.0;
-  double cxy = 0.0;
-  double dark = 0.0;
-  // Σy² per tile column, hoisted once per tile (full optics only).  The
-  // tiny tile-local allocation (≤ array_cols doubles) is the price of
-  // not recomputing column norms per row.
-  std::vector<double> syy;
-  if (full_optics_) {
-    const LaneTransfer& ln = lanes_.front();
-    const double f2 = ln.ps_re * ln.ps_re + ln.ps_im * ln.ps_im;
-    const double t2 = ln.t * ln.t;
-    const double k2 = ln.jk_im * ln.jk_im;
-    cxx = 0.5 * (det_.gain_plus * t2 - det_.gain_minus * k2);
-    cyy = 0.5 * f2 * (det_.gain_plus * k2 - det_.gain_minus * t2);
-    cxy = -ln.t * ln.jk_im * ln.ps_im * (det_.gain_plus + det_.gain_minus);
-    dark = static_cast<double>(chunks) * (det_.dark_plus - det_.dark_minus);
-    syy.resize(tile.cols);
-    for (std::size_t j = 0; j < tile.cols; ++j) {
-      syy[j] = simd::dot_self(be.row(tile.col0 + j).data(), k);
+  // column capacity (PreparedOperand shape contract); every reduction is
+  // bounded by the A-side k, so padding is never read.
+  PDAC_REQUIRE(be.cols() >= ops.k, "FusedKernel: operand reduction lengths must agree");
+  PDAC_REQUIRE(c.rows() == m && c.cols() == n, "FusedKernel: output shape must be m × n");
+  PDAC_REQUIRE((rsum == nullptr) == (csum == nullptr), "FusedKernel: guard sums come as a pair");
+  std::vector<double> sxx(qf != nullptr ? m : 0);  // Σx² per A row
+  std::vector<double> syy(qf != nullptr ? n : 0);  // Σy² per B column
+  for (std::size_t i = 0; i < sxx.size(); ++i) sxx[i] = ops.self(ae.row(i).data());
+  double* const out = c.data().data();
+  const auto readout = [&](std::size_t i, std::size_t j, std::size_t s, double sxy) {
+    double r = qf != nullptr ? qf->cxx * sxx[i] + qf->cyy * syy[j] + qf->cxy * sxy + qf->dark
+                             : sxy;
+    if (adc != nullptr) r = adc->sample_to_voltage(r);
+    out[i * n + j] = r * rescale;
+    if (rsum != nullptr) {
+      rsum[s * m + i] += r;
+      csum[(i / h) * n + j] += r;
     }
-  }
-
-  constexpr std::size_t kBlock = 4;
-  const std::size_t col_end = tile.col0 + tile.cols;
-  for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-    const double* x = ae.row(i).data();
-    const double sxx = full_optics_ ? simd::dot_self(x, k) : 0.0;
-    std::size_t j = tile.col0;
-    for (; j + kBlock <= col_end; j += kBlock) {
-      const double* ys[kBlock];
-      for (std::size_t b = 0; b < kBlock; ++b) ys[b] = be.row(j + b).data();
-      double sxy[kBlock];
-      simd::dot4(x, ys, k, sxy);
-      for (std::size_t b = 0; b < kBlock; ++b) {
-        double r = full_optics_
-                       ? cxx * sxx + cyy * syy[j + b - tile.col0] + cxy * sxy[b] + dark
-                       : sxy[b];
-        if (adc_) r = adc.sample_to_voltage(r);
-        c(i, j + b) = r * rescale;
-        if (rsum != nullptr) rsum[i - tile.row0] += r;
-        if (csum != nullptr) csum[j + b - tile.col0] += r;
+  };
+  // Rows [i, i + rows) against column stripe s: 4-column blocks from the
+  // stripe start, then its last w mod 4 columns one by one, so an
+  // output's reduction depends only on its place in its stripe.
+  const auto stripe = [&](std::size_t i, std::size_t rows, std::size_t s) {
+    const auto* x0 = ae.row(i).data();
+    const decltype(x0) x[2] = {x0, rows == 2 ? ae.row(i + 1).data() : x0};
+    const std::size_t col_end = std::min(s * w + w, n);
+    std::size_t j = s * w;
+    for (; j + 4 <= col_end; j += 4) {
+      const decltype(x0) y[4] = {be.row(j).data(), be.row(j + 1).data(), be.row(j + 2).data(),
+                                 be.row(j + 3).data()};
+      double sxy[2][4];
+      ops.block(x, rows, y, sxy);
+      for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t b = 0; b < 4; ++b) readout(i + r, j + b, s, sxy[r][b]);
       }
     }
     for (; j < col_end; ++j) {
-      const double sxy = simd::dot(x, be.row(j).data(), k);
-      double r = full_optics_ ? cxx * sxx + cyy * syy[j - tile.col0] + cxy * sxy + dark
-                              : sxy;
-      if (adc_) r = adc.sample_to_voltage(r);
-      c(i, j) = r * rescale;
-      if (rsum != nullptr) rsum[i - tile.row0] += r;
-      if (csum != nullptr) csum[j - tile.col0] += r;
+      for (std::size_t r = 0; r < rows; ++r) readout(i + r, j, s, ops.dot(x[r], be.row(j).data()));
     }
-  }
-  if (ev != nullptr) {
-    // Field-for-field identical to run_tile: the tier changes arithmetic
-    // order, not device semantics — the analog machine still performs
-    // dots·chunks detections and dots·k MACs.
-    const std::uint64_t dots =
-        static_cast<std::uint64_t>(tile.rows) * static_cast<std::uint64_t>(tile.cols);
-    ev->detection_events += dots * chunks;
-    ev->ddot_ops += dots * chunks;
-    ev->macs += dots * static_cast<std::uint64_t>(k);
-  }
+  };
+  const std::size_t stripes = (n + w - 1) / w;
+  const std::size_t stripe_bytes = std::max<std::size_t>(1, w * ops.k * Ops::kElemBytes);
+  const std::size_t group = std::max<std::size_t>(1, kGroupBytes / stripe_bytes);
+  pool.parallel_for(stripes, [&](std::size_t s_begin, std::size_t s_end, std::size_t) {
+    for (std::size_t g0 = s_begin; g0 < s_end; g0 += group) {
+      const std::size_t g1 = std::min(g0 + group, s_end);
+      if (qf != nullptr) {
+        for (std::size_t j = g0 * w; j < std::min(g1 * w, n); ++j) {
+          syy[j] = ops.self(be.row(j).data());
+        }
+      }
+      for (std::size_t i = 0; i < m; i += 2) {
+        for (std::size_t s = g0; s < g1; ++s) stripe(i, std::min<std::size_t>(2, m - i), s);
+      }
+    }
+  });
 }
 
-void FusedKernel::run_tile_quant(const Tile& tile, const CodeMatrix& aq, const CodeMatrix& bq,
-                                 double rescale, Matrix& c, EventCounter* ev, double* rsum,
-                                 double* csum) const {
+}  // namespace
+
+void FusedKernel::run_product_fast(const Matrix& ae, const Matrix& be, std::size_t tile_rows,
+                                   std::size_t tile_cols, double rescale, ThreadPool& pool,
+                                   Matrix& c, double* rsum, double* csum) const {
+  const std::size_t k = ae.cols();
+  const converters::ElectricalAdc adc = make_adc(k);
+  const QuadForm qf = quad_form(lanes_.front(), det_, (k + lanes_.size() - 1) / lanes_.size());
+  sweep_product(SimdOps{k}, ae, be, tile_rows, tile_cols, full_optics_ ? &qf : nullptr,
+                adc_ ? &adc : nullptr, rescale, pool, c, rsum, csum);
+}
+
+void FusedKernel::run_product_quant(const CodeMatrix& aq, const CodeMatrix& bq,
+                                    std::size_t tile_rows, std::size_t tile_cols,
+                                    double rescale, ThreadPool& pool, Matrix& c, double* rsum,
+                                    double* csum) const {
   PDAC_REQUIRE(quant_ready_,
-               "FusedKernel: run_tile_quant needs an on-grid encode LUT (quant_ready)");
+               "FusedKernel: run_product_quant needs an on-grid encode LUT (quant_ready)");
   const std::size_t k = aq.cols();
-  PDAC_REQUIRE(bq.cols() >= k, "FusedKernel: operand reduction lengths must agree");
-  converters::ElectricalAdcConfig ac;
-  ac.bits = adc_bits_;
-  ac.v_ref = adc_full_scale_ > 0.0 ? adc_full_scale_
-                                   : static_cast<double>(std::max<std::size_t>(k, 1));
-  const converters::ElectricalAdc adc(ac);
-  const std::size_t nl = lanes_.size();
-  const std::uint64_t chunks = (k + nl - 1) / nl;
-
-  // Same quadratic form as run_tile_fast (see the derivation there), but
-  // with the amplitude sums carried as exact integer sums over codes:
-  // on-grid, x = cx/mc and y = cy/mc bitwise, so
-  //   Σx² = Σcx²/mc², Σy² = Σcy²/mc², Σxy = Σcx·cy/mc²
-  // with the integer numerators computed exactly (|Σcx·cy| ≤ k·mc² ≪ 2⁵³
-  // also makes the int64→double conversion exact) — each sum then costs
-  // ONE division instead of a k-term floating accumulation chain.
-  const std::int32_t mc = max_code_;
-  const double mc2 = static_cast<double>(mc) * static_cast<double>(mc);
-  double cxx = 0.0;
-  double cyy = 0.0;
-  double cxy = 0.0;
-  double dark = 0.0;
-  std::vector<double> syy;  // Σy² per tile column, hoisted (full optics)
-  if (full_optics_) {
-    const LaneTransfer& ln = lanes_.front();
-    const double f2 = ln.ps_re * ln.ps_re + ln.ps_im * ln.ps_im;
-    const double t2 = ln.t * ln.t;
-    const double k2 = ln.jk_im * ln.jk_im;
-    cxx = 0.5 * (det_.gain_plus * t2 - det_.gain_minus * k2);
-    cyy = 0.5 * f2 * (det_.gain_plus * k2 - det_.gain_minus * t2);
-    cxy = -ln.t * ln.jk_im * ln.ps_im * (det_.gain_plus + det_.gain_minus);
-    dark = static_cast<double>(chunks) * (det_.dark_plus - det_.dark_minus);
-    syy.resize(tile.cols);
-    for (std::size_t j = 0; j < tile.cols; ++j) {
-      syy[j] =
-          static_cast<double>(simd::dot_self_i16(bq.row(tile.col0 + j).data(), k, mc)) / mc2;
-    }
-  }
-
-  constexpr std::size_t kBlock = 4;
-  const std::size_t col_end = tile.col0 + tile.cols;
-  for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-    const std::int16_t* x = aq.row(i).data();
-    const double sxx =
-        full_optics_ ? static_cast<double>(simd::dot_self_i16(x, k, mc)) / mc2 : 0.0;
-    std::size_t j = tile.col0;
-    for (; j + kBlock <= col_end; j += kBlock) {
-      const std::int16_t* ys[kBlock];
-      for (std::size_t b = 0; b < kBlock; ++b) ys[b] = bq.row(j + b).data();
-      std::int64_t ixy[kBlock];
-      simd::dot4_i16(x, ys, k, mc, ixy);
-      for (std::size_t b = 0; b < kBlock; ++b) {
-        const double sxy = static_cast<double>(ixy[b]) / mc2;
-        double r = full_optics_ ? cxx * sxx + cyy * syy[j + b - tile.col0] + cxy * sxy + dark
-                                : sxy;
-        if (adc_) r = adc.sample_to_voltage(r);
-        c(i, j + b) = r * rescale;
-        if (rsum != nullptr) rsum[i - tile.row0] += r;
-        if (csum != nullptr) csum[j + b - tile.col0] += r;
-      }
-    }
-    for (; j < col_end; ++j) {
-      const double sxy = static_cast<double>(simd::dot_i16(x, bq.row(j).data(), k, mc)) / mc2;
-      double r = full_optics_ ? cxx * sxx + cyy * syy[j - tile.col0] + cxy * sxy + dark : sxy;
-      if (adc_) r = adc.sample_to_voltage(r);
-      c(i, j) = r * rescale;
-      if (rsum != nullptr) rsum[i - tile.row0] += r;
-      if (csum != nullptr) csum[j - tile.col0] += r;
-    }
-  }
-  if (ev != nullptr) {
-    // Field-for-field identical to run_tile: the tier changes the number
-    // representation, not device semantics — the analog machine still
-    // performs dots·chunks detections and dots·k MACs.
-    const std::uint64_t dots =
-        static_cast<std::uint64_t>(tile.rows) * static_cast<std::uint64_t>(tile.cols);
-    ev->detection_events += dots * chunks;
-    ev->ddot_ops += dots * chunks;
-    ev->macs += dots * static_cast<std::uint64_t>(k);
-  }
+  const converters::ElectricalAdc adc = make_adc(k);
+  const QuadForm qf = quad_form(lanes_.front(), det_, (k + lanes_.size() - 1) / lanes_.size());
+  const double mc2 = static_cast<double>(max_code_) * static_cast<double>(max_code_);
+  sweep_product(QuantOps{k, max_code_, mc2}, aq, bq, tile_rows, tile_cols,
+                full_optics_ ? &qf : nullptr, adc_ ? &adc : nullptr, rescale, pool, c, rsum,
+                csum);
 }
 
 }  // namespace pdac::ptc

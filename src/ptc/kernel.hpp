@@ -38,6 +38,8 @@
 #include <vector>
 
 #include "common/matrix.hpp"
+#include "common/thread_pool.hpp"
+#include "converters/electrical_adc.hpp"
 #include "ptc/ddot.hpp"
 #include "ptc/dot_engine.hpp"
 #include "ptc/event_counter.hpp"
@@ -89,37 +91,48 @@ class FusedKernel {
                 Matrix& c, EventCounter* ev = nullptr, double* rsum = nullptr,
                 double* csum = nullptr) const;
 
-  /// SIMD fast tier of run_tile (ExecutionPath::kKernelSimd).  Same
-  /// signature, same event charges field for field, same rsum/csum
-  /// accumulation order — but tolerance-banded instead of bit-exact:
-  /// the reduction is reassociated through common/simd.hpp blocking and,
-  /// under full optics, the per-element physics is collapsed into its
-  /// closed quadratic form (see the derivation in kernel.cpp), so raw
-  /// values differ from the scalar tier by O(ε·k·|x||y|) — inside the
-  /// ABFT guard band that multiply_prepared applies unchanged.
-  void run_tile_fast(const Tile& tile, const Matrix& ae, const Matrix& be, double rescale,
-                     Matrix& c, EventCounter* ev = nullptr, double* rsum = nullptr,
-                     double* csum = nullptr) const;
+  /// Reduction events of one tile — what run_tile charges and what the
+  /// device-graph loop counts dot by dot: rows·cols dots, each of
+  /// ⌈k/active wavelengths⌉ chunks and k MACs.
+  [[nodiscard]] EventCounter tile_events(const Tile& tile, std::size_t k) const;
 
-  /// Integer tier of run_tile (ExecutionPath::kKernelQuant, DESIGN.md
-  /// §15).  Operands are int16 quantizer codes; valid only when
-  /// quant_ready() — the engine's encode LUT lies bitwise on the
-  /// quantizer grid, so an encoded amplitude IS code/max_code and every
-  /// Σx², Σy², Σxy of the quadratic form is an EXACT integer sum
-  /// (common/simd.hpp dot_i16 family, int16×int16 → int64).  The scale
-  /// 1/max_code² and the dark-current term are applied once in double at
-  /// readout, so each raw value carries a single rounding instead of the
-  /// double tiers' per-element chains — the same O(ε·k) reassociation
-  /// family the guard band absorbs.  Event charges, ADC round-trip and
-  /// rsum/csum order are field-for-field identical to run_tile; the
-  /// integer sums themselves are ISA-independent (exact), so this tier's
-  /// raw values are identical bits on every machine.
-  void run_tile_quant(const Tile& tile, const CodeMatrix& aq, const CodeMatrix& bq,
-                      double rescale, Matrix& c, EventCounter* ev = nullptr,
-                      double* rsum = nullptr, double* csum = nullptr) const;
+  /// SIMD fast tier (ExecutionPath::kKernelSimd), one call per product:
+  /// every output of ae·beᵀ, ADC-rounded and rescaled into `c`.  Under
+  /// full optics the per-element physics collapses into its closed
+  /// quadratic form (derivation in kernel.cpp): Σx² once per A row, Σy²
+  /// once per B column, one blocked Σxy per output (common/simd.hpp).
+  /// Outputs are tolerance-banded against the scalar tier, O(ε·k·|x||y|),
+  /// inside the ABFT guard band.
+  ///
+  /// The sweep takes groups of W-wide column stripes (W = tile_cols)
+  /// sized to stay cache-resident and runs all A rows past each group,
+  /// two rows by four columns at a time.  An output's reduction depends
+  /// only on its place in its stripe — simd::dot4 for the 4-column blocks
+  /// from the stripe start, simd::dot for the last w mod 4 columns — so
+  /// traversal order, the 2×4 block (dot2x4 ≡ dot4 bitwise) and the
+  /// thread count move no bit.  Guarded products pass `rsum`/`csum`: the
+  /// raw post-ADC values summed per tile, rsum[s·m + i] over stripe s in
+  /// ascending j and csum[(i / tile_rows)·n + j] over the tile's rows in
+  /// ascending i, the order run_tile uses.  Column stripes are split
+  /// statically across `pool`.
+  void run_product_fast(const Matrix& ae, const Matrix& be, std::size_t tile_rows,
+                        std::size_t tile_cols, double rescale, ThreadPool& pool, Matrix& c,
+                        double* rsum = nullptr, double* csum = nullptr) const;
 
-  /// True when run_tile_quant is usable: the kernel was snapshotted from
-  /// an engine whose encode LUT is exactly the quantizer grid (e.g. a
+  /// Integer tier (ExecutionPath::kKernelQuant, DESIGN.md §15): the same
+  /// sweep and contract over int16 quantizer codes.  Valid only when
+  /// quant_ready() — the encode LUT lies bitwise on the quantizer grid,
+  /// so an amplitude IS code/max_code and every Σx², Σy², Σxy is an EXACT
+  /// integer sum (common/simd.hpp dot_i16 family).  Scale and dark
+  /// current are applied once in double at readout, so each raw value
+  /// carries one rounding — the O(ε·k) family the guard band absorbs —
+  /// and the same bits on every ISA.
+  void run_product_quant(const CodeMatrix& aq, const CodeMatrix& bq, std::size_t tile_rows,
+                         std::size_t tile_cols, double rescale, ThreadPool& pool, Matrix& c,
+                         double* rsum = nullptr, double* csum = nullptr) const;
+
+  /// True when run_product_quant is usable: the kernel was snapshotted
+  /// from an engine whose encode LUT is exactly the quantizer grid (e.g. a
   /// core::BitTrueDacDriver engine).  Off-grid drivers (ideal DAC,
   /// P-DAC) leave this false and callers fall back to the double tiers.
   [[nodiscard]] bool quant_ready() const { return quant_ready_; }
@@ -130,7 +143,7 @@ class FusedKernel {
 
  private:
   [[nodiscard]] double reduce(std::span<const double> xe, std::span<const double> ye) const;
-  [[nodiscard]] double apply_adc(double acc, std::size_t n) const;
+  [[nodiscard]] converters::ElectricalAdc make_adc(std::size_t k) const;
 
   /// One coefficient row per active (un-fenced) wavelength, in packing
   /// order — the flat table the inner loop streams.

@@ -338,6 +338,26 @@ TEST(KernelSimdTier, PrimitivesMatchNaiveReduction) {
   }
 }
 
+TEST(KernelSimdTier, Dot2x4EqualsTwoDot4Bitwise) {
+  // The product sweep's register block must be two dot4 calls to the
+  // bit — same multiply-add sequence, same fold — at every tail shape
+  // (n mod 4 = 0..3), including lengths below one vector.
+  Rng rng(61);
+  for (std::size_t n = 0; n <= 40; ++n) {
+    std::vector<std::vector<double>> v;
+    for (int r = 0; r < 6; ++r) v.push_back(rng.uniform_vector(n, -1.0, 1.0));
+    const double* x[2] = {v[0].data(), v[1].data()};
+    const double* y[4] = {v[2].data(), v[3].data(), v[4].data(), v[5].data()};
+    double block[2][4];
+    simd::dot2x4(x, y, n, block);
+    for (int r = 0; r < 2; ++r) {
+      double row[4];
+      simd::dot4(x[r], y, n, row);
+      EXPECT_EQ(std::memcmp(block[r], row, sizeof row), 0) << "n=" << n << " row " << r;
+    }
+  }
+}
+
 TEST(KernelSimdTier, FuzzWithinToleranceBandOfScalarKernel) {
   // The fast-tier contract, fuzzed across the same case space as the
   // scalar tier's bit-identity gate: random shapes (ragged edges

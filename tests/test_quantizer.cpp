@@ -1,7 +1,10 @@
 // Unit and property tests for the symmetric fixed-point quantizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/require.hpp"
 #include "common/rng.hpp"
@@ -124,6 +127,39 @@ TEST(Quantizer, SnapToCodeAcceptsExactlyTheGrid) {
   EXPECT_EQ(code, q.max_code());
   EXPECT_TRUE(q.snap_to_code(-0.0, &code));
   EXPECT_EQ(code, 0);
+}
+
+TEST(Quantizer, EncodeMatchesLroundEverywhere) {
+  // encode rounds without libm; the reference is the lround formulation
+  // (clamp to [−1, 1], lround(r·max_code)), with NaN defined as code 0.
+  // Swept over every width: random inputs, every half-code point ±3 ulps
+  // (where rounding direction flips), ±0, ±inf and NaN.
+  const auto reference = [](const Quantizer& q, double r) -> std::int32_t {
+    if (std::isnan(r)) return 0;
+    return static_cast<std::int32_t>(std::lround(std::clamp(r, -1.0, 1.0) * q.max_code()));
+  };
+  Rng rng(2024);
+  std::size_t mismatches = 0;
+  std::size_t checked = 0;
+  const auto check = [&](const Quantizer& q, double r) {
+    ++checked;
+    if (q.encode(r) != reference(q, r)) {
+      if (++mismatches <= 10) ADD_FAILURE() << "bits " << q.bits() << " r=" << r;
+    }
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int bits = 2; bits <= 16; ++bits) {
+    const Quantizer q(bits);
+    for (int i = 0; i < 140000; ++i) check(q, rng.uniform(-1.5, 1.5));
+    const double mc = static_cast<double>(q.max_code());
+    for (std::int32_t c = -q.max_code() - 1; c <= q.max_code(); ++c) {
+      double r = (static_cast<double>(c) + 0.5) / mc;
+      for (int u = 0; u < 3; ++u) r = std::nextafter(r, -inf);
+      for (int u = 0; u < 7; ++u, r = std::nextafter(r, inf)) check(q, r);
+    }
+    for (const double r : {0.0, -0.0, inf, -inf, std::nan("")}) check(q, r);
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << checked;
 }
 
 // --- property sweep over bit widths -----------------------------------------
