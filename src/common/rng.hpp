@@ -7,6 +7,8 @@
 #include <random>
 #include <vector>
 
+#include "common/require.hpp"
+
 namespace pdac {
 
 /// Seeded random generator with the convenience draws the experiments use.
@@ -18,7 +20,16 @@ class Rng {
     return std::uniform_real_distribution<double>(lo, hi)(engine_);
   }
 
+  /// N(mean, stddev²).  stddev 0 (a variation sigma left at its default)
+  /// returns `mean` exactly, after drawing and discarding one standard
+  /// normal so the engine advances as it does for any other stddev:
+  /// std::normal_distribution itself requires stddev > 0.
   double gaussian(double mean = 0.0, double stddev = 1.0) {
+    PDAC_REQUIRE(stddev >= 0.0, "Rng::gaussian: stddev must be non-negative");
+    if (stddev == 0.0) {
+      (void)std::normal_distribution<double>(0.0, 1.0)(engine_);
+      return mean;
+    }
     return std::normal_distribution<double>(mean, stddev)(engine_);
   }
 

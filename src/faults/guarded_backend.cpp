@@ -1,6 +1,7 @@
 #include "faults/guarded_backend.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -24,6 +25,23 @@ double raw_abs_max(std::span<const double> values) {
   double m = 0.0;
   for (const double v : values) m = std::max(m, std::abs(v));
   return m;
+}
+
+/// Four checksum references at once: out[l] = Σ_p x[l][p]·y[l][p].  Each
+/// lane keeps the one-lane fold's ascending-p `ref += x[p] * y[p]`
+/// sequence and operand order, so every result is bit-identical to it;
+/// the lanes only interleave for instruction-level parallelism.
+/// (simd::dot4 folds differently and would move the residual bits.)
+void fold_refs4(const std::array<const double*, 4>& x, const std::array<const double*, 4>& y,
+                std::size_t k, std::array<double, 4>& out) {
+  double r0 = 0.0, r1 = 0.0, r2 = 0.0, r3 = 0.0;
+  for (std::size_t p = 0; p < k; ++p) {
+    r0 += x[0][p] * y[0][p];
+    r1 += x[1][p] * y[1][p];
+    r2 += x[2][p] * y[2][p];
+    r3 += x[3][p] * y[3][p];
+  }
+  out = {r0, r1, r2, r3};
 }
 
 }  // namespace
@@ -159,19 +177,26 @@ void GuardedBackend::attach_storm(FaultInjector* injector, std::uint64_t steps_p
   storm_clock_ = injector != nullptr ? injector->step() : 0;
 }
 
-double GuardedBackend::golden_encode(std::size_t rail, std::size_t channel, double r) const {
-  const converters::Quantizer& quant = bank_.quantizer();
-  const std::int32_t code = quant.encode(math::clamp_unit(r));
-  return golden_[rail * bank_.wavelengths() + channel]
-                [static_cast<std::size_t>(code + quant.max_code())];
+std::int32_t GuardedBackend::quantize(double r) const {
+  return bank_.quantizer().encode(math::clamp_unit(r));
 }
 
-double GuardedBackend::encode_current(std::size_t rail, std::size_t channel, double r) const {
-  // Falls back to the live model whenever the table is stale (a rung just
-  // moved the epoch and ensure() has not run yet), so a missed ensure()
-  // can cost speed but never correctness.
-  if (cfg_.use_lane_table && table_.fresh(bank_)) return table_.encode(rail, channel, r);
-  return bank_.encode(rail, channel, r);
+double GuardedBackend::current_at(std::size_t rail, std::size_t channel,
+                                  std::int32_t code) const {
+  // Falls back to the live model whenever the table is stale (the epoch
+  // moved and ensure() has not run yet), so a missed ensure() can cost
+  // speed but never correctness.
+  if (cfg_.use_lane_table && table_.fresh(bank_)) return table_.amplitude(rail, channel, code);
+  return bank_.lane(rail, channel).model.encode_code(code);
+}
+
+void GuardedBackend::dual_encode(std::size_t rail, std::size_t channel, double r, double& cur,
+                                 double& gold, std::int16_t* q) const {
+  const std::int32_t code = quantize(r);
+  cur = current_at(rail, channel, code);
+  gold = golden_[rail * bank_.wavelengths() + channel]
+                [static_cast<std::size_t>(code + bank_.quantizer().max_code())];
+  if (q != nullptr) *q = table_.grid_code(rail, channel, code);
 }
 
 bool GuardedBackend::quant_live() const {
@@ -238,16 +263,10 @@ ptc::PreparedOperand GuardedBackend::prepare_b_src(const BSource& bsrc,
       const auto src = bt.row(r);
       auto cur = pb.encoded.row(r);
       auto gold = pb.reference.row(r);
+      std::int16_t* q = quant ? pb.qcodes.row(r).data() : nullptr;
       for (std::size_t p = 0; p < k; ++p) {
-        const std::size_t ch = pb.channels[p % nl];
-        cur[p] = encode_current(1, ch, src[p]);
-        gold[p] = golden_encode(1, ch, src[p]);
-      }
-      if (quant) {
-        auto qrow = pb.qcodes.row(r);
-        for (std::size_t p = 0; p < k; ++p) {
-          qrow[p] = table_.encode_code(1, pb.channels[p % nl], src[p]);
-        }
+        dual_encode(1, pb.channels[p % nl], src[p], cur[p], gold[p],
+                    q != nullptr ? q + p : nullptr);
       }
     }
   });
@@ -336,17 +355,10 @@ bool GuardedBackend::append_kv_cols(ptc::PreparedOperand& pb, const Matrix& kv) 
     const auto src = kv.row(j);
     auto cur = pb.encoded.row(j);
     auto gold = pb.reference.row(j);
+    std::int16_t* q = quant ? pb.qcodes.row(j).data() : nullptr;
     for (std::size_t p = 0; p < k; ++p) {
-      const double v = src[p] / pb.scale;
-      const std::size_t ch = pb.channels[p % nl];
-      cur[p] = encode_current(1, ch, v);
-      gold[p] = golden_encode(1, ch, v);
-    }
-    if (quant) {
-      auto qrow = pb.qcodes.row(j);
-      for (std::size_t p = 0; p < k; ++p) {
-        qrow[p] = table_.encode_code(1, pb.channels[p % nl], src[p] / pb.scale);
-      }
+      dual_encode(1, pb.channels[p % nl], src[p] / pb.scale, cur[p], gold[p],
+                  q != nullptr ? q + p : nullptr);
     }
   }
   if (!cfg_.guard.column_only) {
@@ -409,20 +421,13 @@ bool GuardedBackend::append_kv_rows(ptc::PreparedOperand& pb, const Matrix& kv) 
   for (std::size_t j = 0; j < n; ++j) {
     const auto cur = pb.encoded.row(j);
     const auto gold = pb.reference.row(j);
+    std::int16_t* q = quant ? pb.qcodes.row(j).data() : nullptr;
     for (std::size_t p = old_k; p < new_k; ++p) {
-      const double v = kv(p, j) / pb.scale;
       // Channel packing is a function of the absolute reduction
       // position p, so appended positions pack exactly as a fresh
       // prepare would pack them.
-      const std::size_t ch = pb.channels[p % nl];
-      cur[p] = encode_current(1, ch, v);
-      gold[p] = golden_encode(1, ch, v);
-    }
-    if (quant) {
-      const auto qrow = pb.qcodes.row(j);
-      for (std::size_t p = old_k; p < new_k; ++p) {
-        qrow[p] = table_.encode_code(1, pb.channels[p % nl], kv(p, j) / pb.scale);
-      }
+      dual_encode(1, pb.channels[p % nl], kv(p, j) / pb.scale, cur[p], gold[p],
+                  q != nullptr ? q + p : nullptr);
     }
   }
   if (!cfg_.guard.column_only) {
@@ -507,7 +512,7 @@ Matrix GuardedBackend::matmul_kv(const Matrix& a, const Matrix& kv,
 ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
                                         const Matrix& ae_gold, const Matrix& xsum,
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,
-                                        double rescale, Matrix& c,
+                                        double rescale, Matrix& c, double* sums,
                                         const std::vector<DotUpset>* upsets,
                                         const CodeMatrix* qae) const {
   const std::size_t k = ae.cols();
@@ -525,8 +530,10 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
   const bool simd_tile = !quant_tile && cfg_.path != ptc::ExecutionPath::kKernel;
   const std::int32_t mc = bank_.quantizer().max_code();
   const double mc2 = static_cast<double>(mc) * static_cast<double>(mc);
-  std::vector<double> rsum(tile.rows, 0.0);
-  std::vector<double> csum(tile.cols, 0.0);
+  double* const rsum = sums;
+  double* const csum = sums + cfg_.array_rows;
+  std::fill(rsum, rsum + tile.rows, 0.0);
+  std::fill(csum, csum + tile.cols, 0.0);
   for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
     const auto x = ae.row(i);
     for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
@@ -589,35 +596,46 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
   std::size_t bad_rows = 0, bad_cols = 0;
   std::size_t sec_row = 0, sec_col = 0;
   double row_delta = 0.0, col_delta = 0.0;
+  const auto judge = [&](double res, double tol, std::size_t at, std::size_t& bad,
+                         std::size_t& sec, double& delta) {
+    note(std::abs(res), tol);
+    if (std::isnan(res) || std::abs(res) > band * tol) {
+      ++bad;
+      sec = at;
+      delta = res;
+    }
+  };
+  // References fold four lanes at a time; a ragged group repeats its last
+  // lane and judges only the real ones, in ascending order.
+  std::array<const double*, 4> xl{};
+  std::array<const double*, 4> yl{};
+  std::array<double, 4> ref{};
   // Row lanes: Σ_j tile(i,j) vs ⟨golden x′_i, cached golden Σ_j y′_j⟩.
   // The column-only cheap mode skips them (and their spare-lane charge).
   if (!cfg_.guard.column_only) {
-    const auto ysum = pb.checksum.row(tile.col0 / pb.checksum_stripe);
-    for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-      const auto xr = ae_gold.row(i);
-      double ref = 0.0;
-      for (std::size_t p = 0; p < k; ++p) ref += xr[p] * ysum[p];
-      const double res = rsum[i - tile.row0] - ref;
-      note(std::abs(res), tol_row);
-      if (std::isnan(res) || std::abs(res) > band * tol_row) {
-        ++bad_rows;
-        sec_row = i;
-        row_delta = res;
+    const double* ysum = pb.checksum.row(tile.col0 / pb.checksum_stripe).data();
+    yl.fill(ysum);
+    for (std::size_t g = 0; g < tile.rows; g += 4) {
+      const std::size_t lanes = std::min<std::size_t>(4, tile.rows - g);
+      for (std::size_t l = 0; l < 4; ++l) {
+        xl[l] = ae_gold.row(tile.row0 + g + std::min(l, lanes - 1)).data();
+      }
+      fold_refs4(xl, yl, k, ref);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        judge(rsum[g + l] - ref[l], tol_row, tile.row0 + g + l, bad_rows, sec_row, row_delta);
       }
     }
   }
   // Column lanes: Σ_i tile(i,j) vs ⟨golden Σ_i x′_i, golden y′_j⟩.
-  const auto xs = xsum.row(tile.row0 / cfg_.array_rows);
-  for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
-    const auto yr = pb.reference.row(j);
-    double ref = 0.0;
-    for (std::size_t p = 0; p < k; ++p) ref += xs[p] * yr[p];
-    const double res = csum[j - tile.col0] - ref;
-    note(std::abs(res), tol_col);
-    if (std::isnan(res) || std::abs(res) > band * tol_col) {
-      ++bad_cols;
-      sec_col = j;
-      col_delta = res;
+  xl.fill(xsum.row(tile.row0 / cfg_.array_rows).data());
+  for (std::size_t g = 0; g < tile.cols; g += 4) {
+    const std::size_t lanes = std::min<std::size_t>(4, tile.cols - g);
+    for (std::size_t l = 0; l < 4; ++l) {
+      yl[l] = pb.reference.row(tile.col0 + g + std::min(l, lanes - 1)).data();
+    }
+    fold_refs4(xl, yl, k, ref);
+    for (std::size_t l = 0; l < lanes; ++l) {
+      judge(csum[g + l] - ref[l], tol_col, tile.col0 + g + l, bad_cols, sec_col, col_delta);
     }
   }
 
@@ -706,6 +724,12 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
   CodeMatrix qae;  // A-side int16 codes, staged only when the quant tier is live
   Matrix xsum;
   const std::size_t row_stripes = (m + cfg_.array_rows - 1) / cfg_.array_rows;
+  // Encode stamps: the bank epoch each A row's and each B column's
+  // CURRENT-state encoding was made at.  Every lane mutator bumps the
+  // epoch (lane_bank.hpp), so a slice stamped with the current epoch
+  // already holds the bits a re-encode would produce.
+  std::vector<std::uint64_t> a_epoch(m);
+  std::vector<std::uint64_t> b_epoch(n);
   const auto encode_a = [&](const std::vector<std::size_t>& channels) {
     const std::size_t nl = channels.size();
     // qcodes may carry padded column capacity past the logical k
@@ -717,19 +741,13 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
         const auto src = an.row(r);
         auto cur = ae.row(r);
         auto gold = ae_gold.row(r);
+        std::int16_t* q = quant ? qae.row(r).data() : nullptr;
         for (std::size_t p = 0; p < k; ++p) {
-          const std::size_t ch = channels[p % nl];
-          cur[p] = encode_current(0, ch, src[p]);
-          gold[p] = golden_encode(0, ch, src[p]);
-        }
-        if (quant) {
-          auto qrow = qae.row(r);
-          for (std::size_t p = 0; p < k; ++p) {
-            qrow[p] = table_.encode_code(0, channels[p % nl], src[p]);
-          }
+          dual_encode(0, channels[p % nl], src[p], cur[p], gold[p], q != nullptr ? q + p : nullptr);
         }
       }
     });
+    std::fill(a_epoch.begin(), a_epoch.end(), bank_.epoch());
     // A row-stripe checksums over the golden encodes.
     xsum.resize(row_stripes, k);
     std::fill(xsum.data().begin(), xsum.data().end(), 0.0);
@@ -751,40 +769,65 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
   outcome.enabled = true;
   outcome.tiles_checked = tiles.size();
 
-  // Data-side B encodings: the cached/prepared matrix on the fast path; a
-  // live copy is materialized only when a storm or a repair makes the
-  // prepared encodes stale.
-  const Matrix* bdata = &pb->encoded;
+  // Data-side B encodings: the cached/prepared matrix (encoded at
+  // pb->epoch) on the fast path; a live copy is materialized only when a
+  // storm or a retry finds a stale column.  Reset whenever a rung
+  // re-prepares the operand.
+  const Matrix* bdata = nullptr;
   Matrix be_live;
   Matrix bn;  // normalized B, lazily built for live re-encodes
-  const auto ensure_bn = [&] {
-    if (bn.size() != 0) return;
-    bn = bsrc.bt != nullptr ? *bsrc.bt : bsrc.b->transposed();
-    for (double& v : bn.data()) v /= pb->scale;
+  const auto restart_b = [&] {
+    bdata = &pb->encoded;
+    be_live = Matrix();
+    bn = Matrix();
+    std::fill(b_epoch.begin(), b_epoch.end(), pb->epoch);
   };
-  const auto reencode_b_cols = [&](std::size_t col0, std::size_t cols,
-                                   const std::vector<std::size_t>& channels) {
-    ensure_bn();
-    if (be_live.size() == 0) {
-      be_live = pb->encoded;
-      bdata = &be_live;
-    }
+  restart_b();
+
+  // Bring one tile's operand slices to the bank's current epoch,
+  // re-encoding only the rows and columns stamped with an older one.  The
+  // stale slices take the lane table when rebuilding it costs no more
+  // element encodes than they need, the live models otherwise — the same
+  // bits either way, so this is a cost choice: a storm that moves the
+  // epoch every tile must not pay a table rebuild per small tile.
+  const std::size_t table_cost =
+      bank_.lanes() * (2 * static_cast<std::size_t>(bank_.quantizer().max_code()) + 1);
+  const auto refresh_tile = [&](const ptc::Tile& tile) {
+    const std::uint64_t now = bank_.epoch();
+    std::size_t stale = 0;
+    for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) stale += a_epoch[i] != now;
+    for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) stale += b_epoch[j] != now;
+    if (stale == 0) return;
+    if (cfg_.use_lane_table && stale * k >= table_cost) table_.ensure(bank_);
+    const std::vector<std::size_t>& channels = pb->channels;
     const std::size_t nl = channels.size();
-    for (std::size_t j = col0; j < col0 + cols; ++j) {
-      const auto src = bn.row(j);
-      auto dst = be_live.row(j);
-      for (std::size_t p = 0; p < k; ++p) dst[p] = bank_.encode(1, channels[p % nl], src[p]);
+    const auto encode_row = [&](std::size_t rail, std::span<const double> src,
+                                std::span<double> dst) {
+      for (std::size_t p = 0; p < k; ++p) {
+        dst[p] = current_at(rail, channels[p % nl], quantize(src[p]));
+      }
+    };
+    for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
+      if (a_epoch[i] == now) continue;
+      encode_row(0, an.row(i), ae.row(i));
+      a_epoch[i] = now;
+    }
+    for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
+      if (b_epoch[j] == now) continue;
+      if (be_live.size() == 0) {
+        bn = bsrc.bt != nullptr ? *bsrc.bt : bsrc.b->transposed();
+        for (double& v : bn.data()) v /= pb->scale;
+        be_live = pb->encoded;
+        bdata = &be_live;
+      }
+      encode_row(1, bn.row(j), be_live.row(j));
+      b_epoch[j] = now;
     }
   };
-  const auto reencode_a_rows = [&](std::size_t row0, std::size_t rows,
-                                   const std::vector<std::size_t>& channels) {
-    const std::size_t nl = channels.size();
-    for (std::size_t i = row0; i < row0 + rows; ++i) {
-      const auto src = an.row(i);
-      auto dst = ae.row(i);
-      for (std::size_t p = 0; p < k; ++p) dst[p] = bank_.encode(0, channels[p % nl], src[p]);
-    }
-  };
+
+  // Per-worker row/column sum scratch for run_tile, sized once per product.
+  const std::size_t sums_stride = cfg_.array_rows + cfg_.array_cols;
+  std::vector<double> tile_sums(pool_->size() * sums_stride);
 
   // Transient upsets strike the initial pass only — a retry (or the SEC
   // correction that obviates it) sees clean hardware.
@@ -796,26 +839,27 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
   const bool storm = storm_ != nullptr && storm_steps_per_tile_ > 0;
   if (storm) {
     // Serialized tile timeline: the injector's clock advances before
-    // every tile step, and each step re-encodes its operand slices
-    // through the live lanes (the hardware modulates per tile step
-    // anyway), so a fault landing between tiles corrupts exactly the
-    // tiles after it.
+    // every tile step, then the step's operand slices are brought to the
+    // lanes' current state, so a fault landing between tiles corrupts
+    // exactly the tiles after it.  The hardware modulates every tile
+    // step (tile_events charges it); the host re-encodes only the slices
+    // whose stamp predates the epoch — recomputing the others would
+    // reproduce the doubles they already hold.
     for (std::size_t t = 0; t < tiles.size(); ++t) {
       storm_clock_ += storm_steps_per_tile_;
       storm_->advance_to(storm_clock_);
-      reencode_a_rows(tiles[t].row0, tiles[t].rows, pb->channels);
-      reencode_b_cols(tiles[t].col0, tiles[t].cols, pb->channels);
+      refresh_tile(tiles[t]);
       checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, *bdata, *pb, rescale, c,
-                           initial_upsets);
+                           tile_sums.data(), initial_upsets);
     }
   } else {
     const Matrix& bd = *bdata;
     // The staged codes ride along iff the quant tier certified this
     // product (qae sized by encode_a); run_tile re-checks per tile.
     const CodeMatrix* qa = qae.rows() == m ? &qae : nullptr;
-    ptc::for_each_tile(*pool_, tiles, [&](std::size_t t, std::size_t) {
-      checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, bd, *pb, rescale, c, initial_upsets,
-                           qa);
+    ptc::for_each_tile(*pool_, tiles, [&](std::size_t t, std::size_t worker) {
+      checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, bd, *pb, rescale, c,
+                           tile_sums.data() + worker * sums_stride, initial_upsets, qa);
     });
   }
   {
@@ -935,9 +979,7 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
       }
       pb = rebuilt;
       encode_a(pb->channels);
-      be_live = Matrix();
-      bn = Matrix();
-      bdata = &pb->encoded;
+      restart_b();
     }
 
     // Re-run the mismatching tiles through the live lanes.
@@ -945,13 +987,12 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const BSource& bsrc,
     const std::size_t chunks = (k + nl - 1) / nl;
     for (const std::size_t t : bad) {
       const ptc::Tile& tile = tiles[t];
-      if (!repacked) {
-        // Retry rung: re-encode just this tile's operand slices, the
-        // hardware cost the rung actually pays.
-        reencode_a_rows(tile.row0, tile.rows, pb->channels);
-        reencode_b_cols(tile.col0, tile.cols, pb->channels);
-      }
-      checks[t] = run_tile(tile, t, ae, ae_gold, xsum, *bdata, *pb, rescale, c);
+      // Retry rung: the tile's slices re-modulate (charged below); those
+      // stamped before the current epoch are re-encoded.  A rung that
+      // re-prepared the operand left every slice current.
+      if (!repacked) refresh_tile(tile);
+      checks[t] = run_tile(tile, t, ae, ae_gold, xsum, *bdata, *pb, rescale, c,
+                           tile_sums.data());
       outcome.tiles_corrected += checks[t].corrected;
       const ptc::EventCounter ev = tile_events(tile, k, nl);
       events_ += ev;

@@ -23,11 +23,14 @@
 // Mid-product fault storms: attach_storm() hooks a FaultInjector whose
 // clock advances `steps_per_tile` before every tile step, so faults land
 // between tiles of one product exactly like the hardware timeline.  With
-// a storm attached the tile loop serializes and re-encodes each tile's
-// operand slices through the live lanes per step (the hardware modulates
-// per tile step anyway); without one, operands are pre-encoded once per
-// product and the loop is tile-parallel — bit-identical, since lane
-// state cannot change mid-product.
+// a storm attached the tile loop serializes and brings each tile's
+// operand slices to the lanes' current state per step: every A row and
+// B column carries the bank epoch its encoding was made at, and only
+// slices stamped before the current epoch are re-encoded (the hardware
+// still modulates every tile step, and events charge it); without a
+// storm, operands are pre-encoded once per product and the loop is
+// tile-parallel — bit-identical, since lane state cannot change
+// mid-product.
 //
 // Recovery (escalation.hpp): mismatching tiles are re-run per the ladder
 // — retry (re-encode + re-run), targeted self-test + re-trim of the
@@ -81,12 +84,14 @@ struct GuardedBackendConfig {
   /// the clean / drifting / excursion classification the proactive
   /// re-trim rung and the serving quarantine policy read.
   DriftTrackerConfig drift{};
-  /// Serve the product-level CURRENT-state encodes (prepare_b, encode_a)
-  /// from an epoch-keyed coefficient table (lane_table.hpp) instead of
-  /// evaluating lane models per element.  Bit-identical either way.
-  /// Per-tile storm/retry re-encodes always go through the live models:
-  /// under sustained mutation the table would rebuild per tile, costing
-  /// more than the handful of encodes it would serve.
+  /// Serve the CURRENT-state encodes from an epoch-keyed coefficient
+  /// table (lane_table.hpp) instead of evaluating lane models per
+  /// element.  Bit-identical either way.  Product-level encodes
+  /// (prepare_b, encode_a) re-ensure it at product entry; storm/retry
+  /// re-encodes of stale tile slices rebuild it mid-product only when the
+  /// slices need at least as many element encodes as the rebuild
+  /// (lanes · codes) — a storm that moves the epoch every tile would
+  /// otherwise pay a rebuild per small tile.
   bool use_lane_table{true};
   /// Numeric tier for the tile data dots (DESIGN.md §15).
   ///   kKernel      — serial scalar accumulation (default): bit-identical
@@ -225,12 +230,22 @@ class GuardedBackend final : public nn::GemmBackend {
   void observe_probes(const SelfTestReport& report);
 
   [[nodiscard]] std::vector<std::size_t> surviving_channels() const;
-  [[nodiscard]] double golden_encode(std::size_t rail, std::size_t channel, double r) const;
 
-  /// CURRENT-state encode for the product-level batch paths: the lane
-  /// table when enabled and fresh, the live lane model otherwise.
-  /// Bit-identical values either way.
-  [[nodiscard]] double encode_current(std::size_t rail, std::size_t channel, double r) const;
+  /// The bank quantizer's signed code for a normalized value (clamped).
+  [[nodiscard]] std::int32_t quantize(double r) const;
+
+  /// CURRENT-state amplitude of `code`: the lane table when enabled and
+  /// fresh, the live lane model otherwise.  Bit-identical either way, and
+  /// to LaneBank::encode of any value that quantizes to `code`.
+  [[nodiscard]] double current_at(std::size_t rail, std::size_t channel,
+                                  std::int32_t code) const;
+
+  /// Dual encode of one normalized element: quantize once, then read the
+  /// CURRENT-state amplitude into `cur`, the GOLDEN one into `gold` and,
+  /// when `q` is non-null, the lane table's int16 grid code into `*q`
+  /// (only meaningful while quant_live()).
+  void dual_encode(std::size_t rail, std::size_t channel, double r, double& cur, double& gold,
+                   std::int16_t* q) const;
 
   /// The B operand's source matrix in whichever orientation the caller
   /// holds it: exactly one of `b` (B itself, k × n) or `bt` (Bᵀ, n × k —
@@ -289,7 +304,9 @@ class GuardedBackend final : public nn::GemmBackend {
   /// Compute + verify one tile: data dots from `ae` (current A encodes)
   /// × `bdata` (current B encodes), references from `ae_gold` /
   /// `pb.reference` / the cached checksum stripes.  Writes the rescaled
-  /// outputs into `c` and returns the verdict.  `upsets` (nullable) are
+  /// outputs into `c` and returns the verdict.  `sums` is the caller's
+  /// per-worker scratch of array_rows + array_cols doubles (the tile's
+  /// raw row and column sums).  `upsets` (nullable) are
   /// the transient dot glitches of the initial pass; single-element
   /// corruptions whose row×column residuals intersect are corrected
   /// digitally in place when GuardConfig::sec_correction is on.
@@ -301,7 +318,7 @@ class GuardedBackend final : public nn::GemmBackend {
   [[nodiscard]] ptc::TileCheck run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
                                         const Matrix& ae_gold, const Matrix& xsum,
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,
-                                        double rescale, Matrix& c,
+                                        double rescale, Matrix& c, double* sums,
                                         const std::vector<DotUpset>* upsets = nullptr,
                                         const CodeMatrix* qae = nullptr) const;
 

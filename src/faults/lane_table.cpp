@@ -40,16 +40,7 @@ void LaneEncodeTable::ensure(const LaneBank& bank) {
 }
 
 double LaneEncodeTable::encode(std::size_t rail, std::size_t channel, double r) const {
-  const std::int32_t code = quant_.encode(math::clamp_unit(r));
-  return table_[(rail * wavelengths_ + channel) * codes_ +
-                static_cast<std::size_t>(code + quant_.max_code())];
-}
-
-std::int16_t LaneEncodeTable::encode_code(std::size_t rail, std::size_t channel,
-                                          double r) const {
-  const std::int32_t code = quant_.encode(math::clamp_unit(r));
-  return qtable_[(rail * wavelengths_ + channel) * codes_ +
-                 static_cast<std::size_t>(code + quant_.max_code())];
+  return amplitude(rail, channel, quant_.encode(math::clamp_unit(r)));
 }
 
 }  // namespace pdac::faults

@@ -46,6 +46,14 @@ class LaneEncodeTable {
   /// bit-identical to the model evaluation it caches.
   [[nodiscard]] double encode(std::size_t rail, std::size_t channel, double r) const;
 
+  /// encode() with the quantization already done: the amplitude of the
+  /// signed code `code`, bit-identical to lane.model.encode_code(code).
+  /// Callers that need several views of one value quantize it once.
+  [[nodiscard]] double amplitude(std::size_t rail, std::size_t channel,
+                                 std::int32_t code) const {
+    return table_[index(rail, channel, code)];
+  }
+
   /// Integer-tier view (DESIGN.md §15), rebuilt with the double table on
   /// every epoch move: each lane column is additionally snapped onto the
   /// quantizer grid where possible (amplitude == decode(code) bit for
@@ -62,15 +70,23 @@ class LaneEncodeTable {
     return built_ && lane_on_grid_[flat] != 0u;
   }
 
-  /// int16-code equivalent of encode(): the code whose decode is the
-  /// amplitude encode() returns.  Only valid when quant_available().
-  [[nodiscard]] std::int16_t encode_code(std::size_t rail, std::size_t channel,
-                                         double r) const;
+  /// int16-code view of amplitude(): the grid code whose decode is the
+  /// amplitude of signed code `code`.  Only valid when quant_available().
+  [[nodiscard]] std::int16_t grid_code(std::size_t rail, std::size_t channel,
+                                       std::int32_t code) const {
+    return qtable_[index(rail, channel, code)];
+  }
 
   [[nodiscard]] const converters::Quantizer& quantizer() const { return quant_; }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
  private:
+  [[nodiscard]] std::size_t index(std::size_t rail, std::size_t channel,
+                                  std::int32_t code) const {
+    return (rail * wavelengths_ + channel) * codes_ +
+           static_cast<std::size_t>(code + quant_.max_code());
+  }
+
   std::vector<double> table_;  ///< lane-major: flat_lane · codes + (code + max_code)
   std::vector<std::int16_t> qtable_;      ///< int16 snap of table_ (valid per-lane)
   std::vector<std::uint8_t> lane_on_grid_;  ///< per flat lane: whole column on-grid

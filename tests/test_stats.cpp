@@ -68,6 +68,26 @@ TEST(RunningStats, GaussianSampleStatistics) {
   EXPECT_NEAR(r.stddev(), 0.5, 0.02);
 }
 
+TEST(RngGaussian, ZeroStddevReturnsMeanAndAdvancesLikeAnyOtherDraw) {
+  // Variation configs default their sigmas to 0; the draw must still
+  // consume the engine exactly like a stddev-1 draw, so zeroing one sigma
+  // never reshapes the draws that follow it.
+  Rng zero(2024);
+  Rng unit(2024);
+  for (int i = 0; i < 64; ++i) {
+    EXPECT_EQ(zero.gaussian(2.5, 0.0), 2.5);
+    (void)unit.gaussian(0.0, 1.0);
+    ASSERT_TRUE(zero.engine() == unit.engine()) << "draw " << i;
+  }
+  EXPECT_EQ(zero.gaussian(), unit.gaussian());
+}
+
+TEST(RngGaussian, NegativeOrNanStddevIsRejected) {
+  Rng rng(3);
+  EXPECT_THROW((void)rng.gaussian(0.0, -1e-9), PreconditionError);
+  EXPECT_THROW((void)rng.gaussian(0.0, std::nan("")), PreconditionError);
+}
+
 TEST(VectorCompare, IdenticalVectors) {
   const std::vector<double> v{1.0, -2.0, 3.0};
   const auto e = stats::compare(v, v);
