@@ -352,7 +352,7 @@ int main(int argc, char** argv) {
   for (std::size_t l = 0; l < n_layers; ++l) layers.emplace_back(shapes, rng);
   const Matrix x0 = Matrix::random_gaussian(1, shapes.d_model, rng, 0.0, 0.5);
 
-  nn::OperandCacheConfig cache_cfg;
+  nn::PreparedStoreConfig cache_cfg;
   cache_cfg.capacity_bytes = 2ull << 30;
 
   // ---- clean decode: device graph vs kernel -------------------------

@@ -5,9 +5,9 @@
 // the full-optics + ADC configuration and measures ms/token at
 // checkpoint lengths under three execution modes:
 //   * incremental — forward_decode(kPrepared) over a PhotonicBackend
-//     whose KvPreparedCache is enabled: the per-head K/V operands stay
-//     resident and every step extends them in place (append_bt_rows /
-//     append_b_rows), O(1) prepare work per token;
+//     whose KV PreparedStore is enabled: the per-head K/V operands stay
+//     resident and every step extends them in place
+//     (ptc::OperandBuilder::append), O(1) prepare work per token;
 //   * fresh — the same prepared route with the KV cache disabled, so
 //     every step re-prepares the whole history from scratch (the O(t)
 //     per-token cost the appends eliminate);
@@ -54,7 +54,7 @@
 #include "common/simd.hpp"
 #include "nn/attention.hpp"
 #include "nn/backend.hpp"
-#include "nn/kv_cache.hpp"
+#include "nn/prepared_store.hpp"
 #include "ptc/gemm_engine.hpp"
 
 #ifndef PDAC_REPO_ROOT
@@ -122,7 +122,7 @@ struct RunResult {
   std::uint64_t digest{14695981039346656037ull};  ///< chained over every output row
   Matrix final_out;
   ptc::EventCounter events;  ///< cumulative over the whole stream
-  nn::KvPreparedCacheStats kv;
+  nn::PreparedStoreStats kv;
 };
 
 /// Decode `x` row by row through one backend; time every step and report
@@ -171,9 +171,9 @@ constexpr TierSpec kTierSpecs[] = {
 
 std::unique_ptr<nn::PhotonicBackend> make_backend(const TierSpec& tier, bool kv_enabled) {
   auto drv = tier.bit_true ? core::make_bit_true_driver(8) : core::make_pdac_driver(8);
-  nn::OperandCacheConfig cache_cfg;
+  nn::PreparedStoreConfig cache_cfg;
   cache_cfg.capacity_bytes = 1ull << 30;
-  nn::KvPreparedCacheConfig kv_cfg;
+  nn::PreparedStoreConfig kv_cfg;
   kv_cfg.capacity_bytes = 1ull << 30;
   kv_cfg.enabled = kv_enabled;
   return std::make_unique<nn::PhotonicBackend>(std::move(drv), hot_config(tier.path),

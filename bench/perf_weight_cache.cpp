@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
 
   // Cache sized to hold every weight of the model (prepared operands are
   // the same element count as the weights, stored as doubles).
-  nn::OperandCacheConfig cache_cfg;
+  nn::PreparedStoreConfig cache_cfg;
   cache_cfg.capacity_bytes = 2ull << 30;
   nn::PhotonicBackend backend(core::make_pdac_driver(8), ptc::GemmConfig{}, cache_cfg);
 
@@ -195,14 +195,14 @@ int main(int argc, char** argv) {
   const double speedup = warm_ms > 0.0 ? cold_ms / warm_ms : 0.0;
 
   // Bit-identity: warm == cold == a backend that never caches.
-  nn::OperandCacheConfig no_cache;
+  nn::PreparedStoreConfig no_cache;
   no_cache.enabled = false;
   nn::PhotonicBackend uncached(core::make_pdac_driver(8), ptc::GemmConfig{}, no_cache);
   const Matrix uncached_out = decode_token(x0, layers, shapes, uncached);
   const bool identical =
       bit_identical(warm_out, cold_out) && bit_identical(warm_out, uncached_out);
 
-  const nn::OperandCacheStats& cs = backend.operand_cache()->stats();
+  const nn::PreparedStoreStats& cs = backend.operand_cache()->stats();
   eval::OperandCacheSummary summary;
   summary.hits = cs.hits;
   summary.misses = cs.misses;

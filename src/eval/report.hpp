@@ -62,7 +62,7 @@ std::string render_fault_tolerance(const std::string& title,
 
 /// Weight-stationary operand-cache counters (bench/perf_weight_cache,
 /// DESIGN.md §10): plain data so eval stays independent of the nn
-/// library — copy the fields out of nn::OperandCacheStats.
+/// library — copy the fields out of nn::PreparedStoreStats.
 struct OperandCacheSummary {
   std::uint64_t hits{};
   std::uint64_t misses{};

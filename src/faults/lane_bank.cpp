@@ -35,6 +35,14 @@ std::vector<std::uint8_t> LaneBank::channel_mask() const {
   return mask;
 }
 
+std::vector<std::size_t> LaneBank::surviving_channels() const {
+  std::vector<std::size_t> channels;
+  for (std::size_t ch = 0; ch < cfg_.wavelengths; ++ch) {
+    if (!lane(0, ch).fenced && !lane(1, ch).fenced) channels.push_back(ch);
+  }
+  return channels;
+}
+
 std::size_t LaneBank::usable_channels() const {
   std::size_t n = 0;
   for (std::size_t ch = 0; ch < cfg_.wavelengths; ++ch) {

@@ -67,6 +67,9 @@ class LaneBank {
   /// Channel usability mask: channel ch is usable iff neither rail lane
   /// is fenced.  Shape matches ptc::DotEngineConfig::lane_mask.
   [[nodiscard]] std::vector<std::uint8_t> channel_mask() const;
+  /// The usable channels in ascending order — the packing a product
+  /// snapshots: reduction position p rides channel surviving[p % size].
+  [[nodiscard]] std::vector<std::size_t> surviving_channels() const;
   [[nodiscard]] std::size_t usable_channels() const;
   [[nodiscard]] std::size_t fenced_lanes() const;
 

@@ -4,8 +4,7 @@
 
 namespace pdac::faults {
 
-void LaneEncodeTable::ensure(const LaneBank& bank) {
-  if (fresh(bank)) return;
+void LaneEncodeTable::rebuild(const LaneBank& bank) {
   quant_ = bank.quantizer();
   wavelengths_ = bank.wavelengths();
   const std::int32_t max_code = quant_.max_code();

@@ -4,15 +4,15 @@
 // LaneBank::encode is a pure function of the quantized code: it clamps,
 // quantizes, and evaluates the lane's PerturbedPdacModel transfer at that
 // code.  A bank with W wavelengths therefore collapses into a flat
-// (2W · codes) table of doubles — the same closed form GuardedBackend's
-// golden snapshot already exploits — turning every hot-path encode from a
+// (2W · codes) table of doubles, turning every hot-path encode from a
 // multi-segment model evaluation into one LUT load, bit-identical by
 // construction.
 //
-// Unlike the golden snapshot (which must stay pinned at the last trusted
-// calibration point), this table tracks the bank's CURRENT state: it is
-// rebuilt whenever the bank's epoch moves, so injected faults, re-trims
-// and recalibrations are never served stale.  The same caveat as every
+// The table tracks the bank's CURRENT state: it is rebuilt whenever the
+// bank's epoch moves, so injected faults, re-trims and recalibrations are
+// never served stale.  GuardedBackend's golden snapshot is a copy of it
+// taken at a trusted calibration point (rebuild(), then amplitudes()),
+// which stays pinned while the table moves on.  The same caveat as every
 // epoch consumer applies (lane_bank.hpp): code that mutates lanes
 // directly through lane() must bump_epoch() afterwards.
 //
@@ -35,7 +35,14 @@ class LaneEncodeTable {
   /// Rebuild from `bank` iff stale (never built, epoch moved, or bank
   /// geometry changed).  O(lanes · codes) when it rebuilds, O(1) when
   /// fresh — one decode token amortizes it after a single epoch bump.
-  void ensure(const LaneBank& bank);
+  void ensure(const LaneBank& bank) {
+    if (!fresh(bank)) rebuild(bank);
+  }
+
+  /// Rebuild from `bank` unconditionally — for trusted calibration
+  /// points, which must read the lanes even when no epoch bump announced
+  /// a change.
+  void rebuild(const LaneBank& bank);
 
   [[nodiscard]] bool fresh(const LaneBank& bank) const {
     return built_ && epoch_ == bank.epoch() && wavelengths_ == bank.wavelengths() &&
@@ -80,12 +87,15 @@ class LaneEncodeTable {
   [[nodiscard]] const converters::Quantizer& quantizer() const { return quant_; }
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
 
- private:
+  /// The flat amplitude table, lane-major: index(rail, channel, code).
+  [[nodiscard]] const std::vector<double>& amplitudes() const { return table_; }
   [[nodiscard]] std::size_t index(std::size_t rail, std::size_t channel,
                                   std::int32_t code) const {
     return (rail * wavelengths_ + channel) * codes_ +
            static_cast<std::size_t>(code + quant_.max_code());
   }
+
+ private:
 
   std::vector<double> table_;  ///< lane-major: flat_lane · codes + (code + max_code)
   std::vector<std::int16_t> qtable_;      ///< int16 snap of table_ (valid per-lane)

@@ -36,8 +36,8 @@ Matrix ReferenceBackend::matmul(const Matrix& a, const Matrix& b) {
 }
 
 PhotonicBackend::PhotonicBackend(std::unique_ptr<core::ModulatorDriver> driver,
-                                 ptc::GemmConfig cfg, OperandCacheConfig cache_cfg,
-                                 KvPreparedCacheConfig kv_cfg)
+                                 ptc::GemmConfig cfg, PreparedStoreConfig cache_cfg,
+                                 PreparedStoreConfig kv_cfg)
     : driver_(std::move(driver)), gemm_(*driver_, cfg), cache_(cache_cfg),
       kv_cache_(kv_cfg) {}
 
@@ -63,13 +63,10 @@ Matrix PhotonicBackend::matmul(const Matrix& a, const Matrix& b) {
 Matrix PhotonicBackend::matmul_cached(const Matrix& a, const Matrix& b,
                                       const WeightHandle& weight) {
   // The driver (and therefore the encode LUT and lane mask) is fixed at
-  // construction, so the encoder epoch is a constant 0 here — entries
-  // only go stale when the weight's contents change.
-  std::shared_ptr<const ptc::PreparedOperand> pb = cache_.lookup(weight.id, weight.version, 0);
-  if (pb == nullptr) {
-    pb = std::make_shared<const ptc::PreparedOperand>(gemm_.prepare_b(b));
-    cache_.insert(weight.id, weight.version, pb);
-  }
+  // construction, so the encoder epoch is a constant 0 and the packing
+  // is empty — entries only go stale when the weight's contents change.
+  std::shared_ptr<const ptc::PreparedOperand> pb =
+      cache_.obtain(weight, 0, {}, [&] { return gemm_.prepare_b(b); });
   ptc::GemmResult r = gemm_.multiply_prepared(a, *pb);
   events_ += r.events;
   fold_guard(r.guard);
@@ -80,36 +77,23 @@ Matrix PhotonicBackend::matmul_cached(const Matrix& a, const Matrix& b,
     // from the source weight and rerun once (honestly re-charged).
     ++guard_.cache_repairs;
     cache_.erase(weight.id);
-    pb = std::make_shared<const ptc::PreparedOperand>(gemm_.prepare_b(b));
-    cache_.insert(weight.id, weight.version, pb);
-    r = gemm_.multiply_prepared(a, *pb);
+    auto fresh = std::make_shared<ptc::PreparedOperand>(gemm_.prepare_b(b));
+    cache_.insert(weight.id, weight.version, fresh);
+    r = gemm_.multiply_prepared(a, *fresh);
     events_ += r.events;
     fold_guard(r.guard);
   }
   return std::move(r.c);
 }
 
-std::shared_ptr<ptc::PreparedOperand> PhotonicBackend::obtain_kv(
-    const Matrix& kv, const KvHandle& handle) {
-  // Driver immutable → encoder epoch is a constant 0, exactly as in
-  // matmul_cached; residency only goes stale through the engine-side
-  // append preconditions (scale outgrown, shrink, tier mismatch).
-  std::shared_ptr<ptc::PreparedOperand> pb = kv_cache_.lookup(handle.id);
-  if (pb != nullptr) {
-    const bool appended = handle.axis == KvAxis::kCols
-                              ? gemm_.append_bt_rows(*pb, kv)
-                              : gemm_.append_b_rows(*pb, kv);
-    if (appended) {
-      kv_cache_.record_append();
-      kv_cache_.updated(handle.id);
-      return pb;
-    }
-    kv_cache_.record_rebuild();
-  }
-  pb = std::make_shared<ptc::PreparedOperand>(
-      handle.axis == KvAxis::kCols ? gemm_.prepare_bt(kv) : gemm_.prepare_b(kv));
-  kv_cache_.insert(handle.id, pb);
-  return pb;
+std::shared_ptr<ptc::PreparedOperand> PhotonicBackend::obtain_kv(const Matrix& kv,
+                                                                 const KvHandle& handle) {
+  // Same constant epoch as matmul_cached; residency only goes stale
+  // through the builder's append refusals (scale outgrown, shrink).
+  const ptc::SourceForm form = source_form(handle.axis);
+  return kv_cache_.extend(
+      handle.id, [&](ptc::PreparedOperand& pb) { return gemm_.append(pb, kv, form); },
+      [&] { return gemm_.prepare(kv, form); });
 }
 
 Matrix PhotonicBackend::matmul_kv(const Matrix& a, const Matrix& kv,
@@ -139,12 +123,12 @@ std::unique_ptr<GemmBackend> make_reference_backend() {
 }
 
 std::unique_ptr<GemmBackend> make_photonic_pdac_backend(int bits, ptc::GemmConfig cfg,
-                                                        OperandCacheConfig cache_cfg) {
+                                                        PreparedStoreConfig cache_cfg) {
   return std::make_unique<PhotonicBackend>(core::make_pdac_driver(bits), cfg, cache_cfg);
 }
 
 std::unique_ptr<GemmBackend> make_photonic_ideal_dac_backend(int bits, ptc::GemmConfig cfg,
-                                                             OperandCacheConfig cache_cfg) {
+                                                             PreparedStoreConfig cache_cfg) {
   return std::make_unique<PhotonicBackend>(core::make_ideal_dac_driver(bits), cfg, cache_cfg);
 }
 

@@ -23,8 +23,8 @@
 // dynamic operands (K, V) are not static, but they only ever GROW —
 // one row per token.  matmul_kv takes a KvHandle naming the growing
 // operand and its axis; caching backends keep the prepared encoding
-// resident (KvPreparedCache) and extend it in place with the ptc
-// append operations, turning the per-token prepare cost from O(t) to
+// resident (a second PreparedStore) and extend it in place with the
+// ptc::OperandBuilder appends, turning the per-token prepare cost from O(t) to
 // O(1) while staying bit-identical to the from-scratch build.
 #pragma once
 
@@ -33,8 +33,7 @@
 
 #include "common/matrix.hpp"
 #include "core/modulator_driver.hpp"
-#include "nn/kv_cache.hpp"
-#include "nn/operand_cache.hpp"
+#include "nn/prepared_store.hpp"
 #include "ptc/event_counter.hpp"
 #include "ptc/gemm_engine.hpp"
 
@@ -91,11 +90,11 @@ class GemmBackend {
 
   /// The backend's operand cache, for stats reporting (nullptr when the
   /// backend does not cache).
-  [[nodiscard]] virtual const OperandCache* operand_cache() const { return nullptr; }
+  [[nodiscard]] virtual const PreparedStore* operand_cache() const { return nullptr; }
 
   /// The backend's KV prepared-operand cache (nullptr when the backend
   /// serves matmul_kv without caching).
-  [[nodiscard]] virtual const KvPreparedCache* kv_cache() const { return nullptr; }
+  [[nodiscard]] virtual const PreparedStore* kv_cache() const { return nullptr; }
 
   /// Aggregated ABFT guard verdicts (nullptr when the backend never
   /// guards — the reference backend, or a photonic one with guard off).
@@ -122,27 +121,27 @@ class ReferenceBackend final : public GemmBackend {
 class PhotonicBackend final : public GemmBackend {
  public:
   PhotonicBackend(std::unique_ptr<core::ModulatorDriver> driver, ptc::GemmConfig cfg,
-                  OperandCacheConfig cache_cfg = {},
-                  KvPreparedCacheConfig kv_cfg = {});
+                  PreparedStoreConfig cache_cfg = {},
+                  PreparedStoreConfig kv_cfg = {kKvStoreCapacityBytes});
 
   [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b) override;
   [[nodiscard]] Matrix matmul_cached(const Matrix& a, const Matrix& b,
                                      const WeightHandle& weight) override;
-  /// KV products through the prepared path: fresh sequences prepare once
-  /// (prepare_bt for kCols — no transpose copy — or prepare_b for kRows);
-  /// later steps extend the resident operand in place via append_bt_rows /
-  /// append_b_rows.  An append the engine refuses (scale outgrown,
-  /// shrink, tier mismatch) falls back to a counted rebuild.  Outputs and
-  /// events are bit-identical to the unprepared default at every length.
+  /// KV products through the prepared path (PreparedStore::extend): fresh
+  /// sequences prepare once (a kCols history is Bᵀ — no transpose copy);
+  /// later steps extend the resident operand in place.  An append the
+  /// builder refuses (scale outgrown, shrink, tier mismatch) falls back
+  /// to a counted rebuild.  Outputs and events are bit-identical to the
+  /// unprepared default at every length.
   [[nodiscard]] Matrix matmul_kv(const Matrix& a, const Matrix& kv,
                                  const KvHandle& handle) override;
   void release_kv(std::uint64_t id) override { kv_cache_.erase(id); }
   [[nodiscard]] std::string name() const override;
 
   [[nodiscard]] const core::ModulatorDriver& driver() const { return *driver_; }
-  [[nodiscard]] const OperandCache* operand_cache() const override { return &cache_; }
-  [[nodiscard]] OperandCache& cache() { return cache_; }
-  [[nodiscard]] const KvPreparedCache* kv_cache() const override { return &kv_cache_; }
+  [[nodiscard]] const PreparedStore* operand_cache() const override { return &cache_; }
+  [[nodiscard]] PreparedStore& cache() { return cache_; }
+  [[nodiscard]] const PreparedStore* kv_cache() const override { return &kv_cache_; }
   [[nodiscard]] const GuardStats* guard_stats() const override {
     return gemm_.config().guard.enabled ? &guard_ : nullptr;
   }
@@ -154,8 +153,8 @@ class PhotonicBackend final : public GemmBackend {
 
   std::unique_ptr<core::ModulatorDriver> driver_;
   ptc::PhotonicGemm gemm_;
-  OperandCache cache_;
-  KvPreparedCache kv_cache_;
+  PreparedStore cache_;
+  PreparedStore kv_cache_;
   GuardStats guard_;
 };
 
@@ -163,10 +162,10 @@ class PhotonicBackend final : public GemmBackend {
 std::unique_ptr<GemmBackend> make_reference_backend();
 std::unique_ptr<GemmBackend> make_photonic_pdac_backend(int bits,
                                                         ptc::GemmConfig cfg = {},
-                                                        OperandCacheConfig cache_cfg = {});
+                                                        PreparedStoreConfig cache_cfg = {});
 std::unique_ptr<GemmBackend> make_photonic_ideal_dac_backend(int bits,
                                                              ptc::GemmConfig cfg = {},
-                                                             OperandCacheConfig cache_cfg = {});
+                                                             PreparedStoreConfig cache_cfg = {});
 
 /// GemmConfig with the tile dispatch widened to `threads` simulation
 /// workers (0 = auto-detect); hand the result to the photonic factories

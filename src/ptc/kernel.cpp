@@ -147,14 +147,20 @@ double FusedKernel::dot(std::span<const double> xe, std::span<const double> ye,
                         EventCounter* ev) const {
   PDAC_REQUIRE(xe.size() == ye.size(), "FusedKernel: operand length mismatch");
   const std::size_t n = xe.size();
-  if (ev != nullptr) *ev += tile_events(Tile{0, 0, 1, 1}, n);
+  if (ev != nullptr) {
+    // A standalone dot charges only its reduction (dot_preencoded's
+    // convention): modulation, sampling and cycles are the caller's.
+    const EventCounter t = tile_events(Tile{0, 0, 1, 1}, n, lanes_.size());
+    ev->detection_events += t.detection_events;
+    ev->ddot_ops += t.ddot_ops;
+    ev->macs += t.macs;
+  }
   const double acc = reduce(xe, ye);
   return adc_ ? make_adc(n).sample_to_voltage(acc) : acc;
 }
 
 void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
-                           double rescale, Matrix& c, EventCounter* ev, double* rsum,
-                           double* csum) const {
+                           double rescale, Matrix& c, double* rsum, double* csum) const {
   const std::size_t k = ae.cols();
   // >=: prepared operands may pad the reduction axis with physical
   // column capacity (PreparedOperand shape contract); every loop here
@@ -186,21 +192,6 @@ void FusedKernel::run_tile(const Tile& tile, const Matrix& ae, const Matrix& be,
     }
     for (; j < col_end; ++j) emit(i, j, reduce({x, k}, be.row(j)));
   }
-  // Closed form for the reduction events the device-graph loop counts
-  // dot by dot — equal because every dot charges the same chunk count.
-  if (ev != nullptr) *ev += tile_events(tile, k);
-}
-
-EventCounter FusedKernel::tile_events(const Tile& tile, std::size_t k) const {
-  const std::size_t nl = lanes_.size();
-  const std::uint64_t chunks = (k + nl - 1) / nl;
-  const std::uint64_t dots =
-      static_cast<std::uint64_t>(tile.rows) * static_cast<std::uint64_t>(tile.cols);
-  EventCounter ev;
-  ev.detection_events = dots * chunks;
-  ev.ddot_ops = dots * chunks;
-  ev.macs = dots * static_cast<std::uint64_t>(k);
-  return ev;
 }
 
 namespace {

@@ -85,16 +85,10 @@ class FusedKernel {
   /// ae[tile rows] × be[tile cols], ADC-rounded, rescaled into `c`.
   /// When `rsum`/`csum` are non-null (ABFT-guarded products) the raw
   /// post-ADC dot values are accumulated per tile row/column in the same
-  /// order as the device-graph loop.  `ev` receives the reduction events
-  /// of every dot executed.
+  /// order as the device-graph loop.  Events are the caller's
+  /// (ptc::tile_events).
   void run_tile(const Tile& tile, const Matrix& ae, const Matrix& be, double rescale,
-                Matrix& c, EventCounter* ev = nullptr, double* rsum = nullptr,
-                double* csum = nullptr) const;
-
-  /// Reduction events of one tile — what run_tile charges and what the
-  /// device-graph loop counts dot by dot: rows·cols dots, each of
-  /// ⌈k/active wavelengths⌉ chunks and k MACs.
-  [[nodiscard]] EventCounter tile_events(const Tile& tile, std::size_t k) const;
+                Matrix& c, double* rsum = nullptr, double* csum = nullptr) const;
 
   /// SIMD fast tier (ExecutionPath::kKernelSimd), one call per product:
   /// every output of ae·beᵀ, ADC-rounded and rescaled into `c`.  Under

@@ -13,6 +13,19 @@ std::vector<Tile> partition_tiles(std::size_t m, std::size_t n, std::size_t tile
   return tiles;
 }
 
+EventCounter tile_events(const Tile& tile, std::size_t k, std::size_t usable_channels) {
+  const std::uint64_t chunks = (k + usable_channels - 1) / usable_channels;
+  const std::uint64_t dots = static_cast<std::uint64_t>(tile.rows) * tile.cols;
+  EventCounter ev;
+  ev.modulation_events = static_cast<std::uint64_t>(tile.rows + tile.cols) * k;
+  ev.detection_events = dots * chunks;
+  ev.ddot_ops = dots * chunks;
+  ev.macs = dots * k;
+  ev.adc_events = dots;
+  ev.cycles = chunks;
+  return ev;
+}
+
 void partition_tiles_into(std::size_t m, std::size_t n, std::size_t tile_rows,
                           std::size_t tile_cols, std::vector<Tile>& out) {
   PDAC_REQUIRE(tile_rows >= 1 && tile_cols >= 1, "partition_tiles: tile dims must be positive");

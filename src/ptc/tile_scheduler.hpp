@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/thread_pool.hpp"
+#include "ptc/event_counter.hpp"
 
 namespace pdac::ptc {
 
@@ -32,8 +33,7 @@ struct Tile {
 };
 
 /// Row-major tile grid covering an (m × n) output with tiles of at most
-/// (tile_rows × tile_cols) — edge tiles are ragged.  The returned order
-/// matches PhotonicGemm::count_events' loop order exactly.
+/// (tile_rows × tile_cols) — edge tiles are ragged.
 [[nodiscard]] std::vector<Tile> partition_tiles(std::size_t m, std::size_t n,
                                                 std::size_t tile_rows, std::size_t tile_cols);
 
@@ -41,6 +41,15 @@ struct Tile {
 /// scratch can reuse its allocation across repeated products.
 void partition_tiles_into(std::size_t m, std::size_t n, std::size_t tile_rows,
                           std::size_t tile_cols, std::vector<Tile>& out);
+
+/// Events of one tile step on the DPTC array (gemm_engine.hpp's
+/// broadcast-amortization contract): the tile's rows A-rows and cols
+/// B-columns are modulated once each, every one of its rows·cols DDots
+/// reduces k elements in ⌈k/usable_channels⌉ chunks (one detection and
+/// one DDot op per chunk), every output is digitized once, and the
+/// concurrent DDots occupy the array for one chunk count of cycles.
+[[nodiscard]] EventCounter tile_events(const Tile& tile, std::size_t k,
+                                       std::size_t usable_channels);
 
 /// Dispatch `body(tile_index, worker)` over every tile on the pool.
 /// Workers receive disjoint contiguous runs of the tile list (static

@@ -328,7 +328,7 @@ ServingReport ServingEngine::run(const std::vector<Request>& requests) {
       // backend already holds the prepared operand (cache affinity).
       std::vector<std::size_t> pressure(models_.size(), 0);
       for (const std::size_t q : eligible) ++pressure[requests[q].model];
-      const nn::OperandCache* cache = pool_.backend(b).operand_cache();
+      const nn::PreparedStore* cache = pool_.backend(b).operand_cache();
       const std::uint64_t epoch = pool_.bank(b).epoch();
       double best_model_score = -1.0;
       std::size_t model = 0;
@@ -398,7 +398,7 @@ ServingReport ServingEngine::run(const std::vector<Request>& requests) {
     bs.events = pool_.backend(b).events();
     bs.health = pool_.backend(b).monitor().snapshot();
     bs.drift = pool_.backend(b).drift().snapshot();
-    if (const nn::KvPreparedCache* kv = pool_.backend(b).kv_cache(); kv != nullptr) {
+    if (const nn::PreparedStore* kv = pool_.backend(b).kv_cache(); kv != nullptr) {
       bs.kv = kv->stats();
     }
   }

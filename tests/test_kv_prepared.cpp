@@ -4,7 +4,7 @@
 // checksum stripes, product outputs, event counts and guard verdicts —
 // across the scalar, SIMD and quant tiers and at any thread count; every
 // refusal trigger (scale outgrown, epoch moved, shape shrank) must leave
-// the operand untouched; the KvPreparedCache must account bytes exactly;
+// the operand untouched; the KV PreparedStore must account bytes exactly;
 // and decode attention plus the serving engine must be bit-identical
 // between prepared and unprepared execution, including across a
 // mid-sequence re-trim epoch bump.
@@ -23,7 +23,7 @@
 #include "faults/self_test.hpp"
 #include "nn/attention.hpp"
 #include "nn/backend.hpp"
-#include "nn/kv_cache.hpp"
+#include "nn/prepared_store.hpp"
 #include "ptc/gemm_engine.hpp"
 #include "serve/engine.hpp"
 #include "serve/workload.hpp"
@@ -149,8 +149,8 @@ Matrix prefix_rows(const Matrix& m, std::size_t t) {
 // KvPrepared: the ptc::PhotonicGemm append contract.
 // ---------------------------------------------------------------------------
 
-// Output-axis growth (B = Kᵀ, the scores operand): append_bt_rows must
-// reproduce a from-scratch prepare_bt bit-for-bit at every length, on
+// Output-axis growth (B = Kᵀ, the scores operand): a Bᵀ-form append must
+// reproduce a from-scratch Bᵀ-form prepare bit-for-bit at every length, on
 // every tier, including the ragged d=13 width against the 4×4 array.
 TEST(KvPrepared, AppendBtRowsBitIdenticalToFreshAcrossTiers) {
   const std::size_t lengths[] = {1, 2, 4, 7};  // single- and multi-row appends
@@ -165,12 +165,12 @@ TEST(KvPrepared, AppendBtRowsBitIdenticalToFreshAcrossTiers) {
       for (std::size_t t : lengths) {
         const Matrix k_hist = prefix_rows(full, t);
         if (!started) {
-          inc = gemm.prepare_bt(k_hist);
+          inc = gemm.prepare(k_hist, SourceForm::kBt);
           started = true;
         } else {
-          ASSERT_TRUE(gemm.append_bt_rows(inc, k_hist)) << tier.name << " t=" << t;
+          ASSERT_TRUE(gemm.append(inc, k_hist, SourceForm::kBt)) << tier.name << " t=" << t;
         }
-        const PreparedOperand fresh = gemm.prepare_bt(k_hist);
+        const PreparedOperand fresh = gemm.prepare(k_hist, SourceForm::kBt);
         expect_same_operand(inc, fresh);
 
         const Matrix a = Matrix::random_gaussian(1, d, arng);
@@ -185,7 +185,7 @@ TEST(KvPrepared, AppendBtRowsBitIdenticalToFreshAcrossTiers) {
   }
 }
 
-// Reduction-axis growth (B = V, the context operand): append_b_rows
+// Reduction-axis growth (B = V, the context operand): a B-form append
 // extends into padded column capacity; numerics, events and verdicts
 // must never see the padding.
 TEST(KvPrepared, AppendBRowsBitIdenticalToFreshAcrossTiers) {
@@ -204,7 +204,7 @@ TEST(KvPrepared, AppendBRowsBitIdenticalToFreshAcrossTiers) {
           inc = gemm.prepare_b(v_hist);
           started = true;
         } else {
-          ASSERT_TRUE(gemm.append_b_rows(inc, v_hist)) << tier.name << " t=" << t;
+          ASSERT_TRUE(gemm.append(inc, v_hist, SourceForm::kB)) << tier.name << " t=" << t;
         }
         const PreparedOperand fresh = gemm.prepare_b(v_hist);
         expect_same_operand(inc, fresh);
@@ -230,43 +230,43 @@ TEST(KvPrepared, AppendRefusesWheneverIdentityCannotHold) {
   const Matrix full = history_rows(4, 6, 31);
   const Matrix base = prefix_rows(full, 2);
 
-  PreparedOperand pb = gemm.prepare_bt(base, /*epoch=*/3);
+  PreparedOperand pb = gemm.prepare(base, SourceForm::kBt, /*epoch=*/3);
   const PreparedOperand snapshot = pb;
 
   // Scale outgrown: a new row whose max-abs exceeds the recorded one
   // would change the fresh scale, so the append must refuse.
   Matrix louder = prefix_rows(full, 3);
   louder(2, 0) = 10.0 * pb.abs_max;
-  EXPECT_FALSE(gemm.append_bt_rows(pb, louder, 3));
+  EXPECT_FALSE(gemm.append(pb, louder, SourceForm::kBt, 3));
   expect_same_operand(pb, snapshot);
 
   // Epoch moved: the encoder state stamp no longer matches.
-  EXPECT_FALSE(gemm.append_bt_rows(pb, prefix_rows(full, 3), 4));
+  EXPECT_FALSE(gemm.append(pb, prefix_rows(full, 3), SourceForm::kBt, 4));
   expect_same_operand(pb, snapshot);
 
   // Shrink and width mismatch are structural violations, not appends.
-  EXPECT_FALSE(gemm.append_bt_rows(pb, prefix_rows(full, 1), 3));
-  EXPECT_FALSE(gemm.append_bt_rows(pb, Matrix(3, 7), 3));
+  EXPECT_FALSE(gemm.append(pb, prefix_rows(full, 1), SourceForm::kBt, 3));
+  EXPECT_FALSE(gemm.append(pb, Matrix(3, 7), SourceForm::kBt, 3));
   expect_same_operand(pb, snapshot);
 
   // Same length is a valid no-op append.
-  EXPECT_TRUE(gemm.append_bt_rows(pb, base, 3));
+  EXPECT_TRUE(gemm.append(pb, base, SourceForm::kBt, 3));
   expect_same_operand(pb, snapshot);
 
   // The rows axis enforces the same triggers.
   PreparedOperand pr = gemm.prepare_b(base, 3);
   const PreparedOperand rsnap = pr;
-  EXPECT_FALSE(gemm.append_b_rows(pr, louder, 3));
-  EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 3), 4));
-  EXPECT_FALSE(gemm.append_b_rows(pr, prefix_rows(full, 1), 3));
-  EXPECT_TRUE(gemm.append_b_rows(pr, base, 3));
+  EXPECT_FALSE(gemm.append(pr, louder, SourceForm::kB, 3));
+  EXPECT_FALSE(gemm.append(pr, prefix_rows(full, 3), SourceForm::kB, 4));
+  EXPECT_FALSE(gemm.append(pr, prefix_rows(full, 1), SourceForm::kB, 3));
+  EXPECT_TRUE(gemm.append(pr, base, SourceForm::kB, 3));
   expect_same_operand(pr, rsnap);
 
   // After the refusals a fresh rebuild still lands bit-identical to the
   // direct product — the caller's fallback is always sound.
   Rng arng(9);
   const Matrix a = Matrix::random_gaussian(1, 6, arng);
-  const PreparedOperand rebuilt = gemm.prepare_bt(louder, 4);
+  const PreparedOperand rebuilt = gemm.prepare(louder, SourceForm::kBt, 4);
   expect_bit_identical(gemm.multiply_prepared(a, rebuilt).c,
                        gemm.multiply(a, louder.transposed()).c, "rebuild fallback");
 }
@@ -274,6 +274,37 @@ TEST(KvPrepared, AppendRefusesWheneverIdentityCannotHold) {
 // Appended operands are engine-thread-count invariant, like every other
 // product: the same incremental sequence on 1 and 3 workers produces
 // bit-identical operands, outputs and events.
+// An operand staged under another layout — checksum stripes, integer
+// codes or faults-layer channel packing this engine does not build —
+// is not this engine's to extend.
+TEST(KvPrepared, AppendRefusesOperandStagedUnderAnotherLayout) {
+  const Matrix full = history_rows(4, 6, 53);
+  const Matrix base = prefix_rows(full, 2);
+  const Matrix grown = prefix_rows(full, 3);
+  const auto pdac = core::make_pdac_driver(8);
+  const auto bit_true = core::make_bit_true_driver(8);
+  GemmConfig plain_cfg = tier_config(kTiers[0]);
+  plain_cfg.guard.enabled = false;
+  const PhotonicGemm guarded(*pdac, tier_config(kTiers[0]));
+  const PhotonicGemm plain(*pdac, plain_cfg);
+  const PhotonicGemm quant(*bit_true, tier_config(kTiers[2]));
+  const PhotonicGemm scalar_bt(*bit_true, tier_config(kTiers[0]));
+
+  for (const SourceForm form : {SourceForm::kBt, SourceForm::kB}) {
+    PreparedOperand striped = guarded.prepare(base, form);
+    EXPECT_FALSE(plain.append(striped, grown, form));
+    PreparedOperand bare = plain.prepare(base, form);
+    EXPECT_FALSE(guarded.append(bare, grown, form));
+    PreparedOperand coded = quant.prepare(base, form);
+    EXPECT_FALSE(scalar_bt.append(coded, grown, form));
+    PreparedOperand packed = guarded.prepare(base, form);
+    packed.channels = {0, 1};
+    EXPECT_FALSE(guarded.append(packed, grown, form));
+    PreparedOperand same = guarded.prepare(base, form);
+    EXPECT_TRUE(guarded.append(same, grown, form));
+  }
+}
+
 TEST(KvPrepared, AppendThreadCountInvariance) {
   const auto drv1 = core::make_pdac_driver(8);
   const auto drv3 = core::make_pdac_driver(8);
@@ -282,12 +313,12 @@ TEST(KvPrepared, AppendThreadCountInvariance) {
   const Matrix full = history_rows(6, 10, 47);
   Rng arng(3);
 
-  PreparedOperand inc1 = gemm1.prepare_bt(prefix_rows(full, 1));
-  PreparedOperand inc3 = gemm3.prepare_bt(prefix_rows(full, 1));
+  PreparedOperand inc1 = gemm1.prepare(prefix_rows(full, 1), SourceForm::kBt);
+  PreparedOperand inc3 = gemm3.prepare(prefix_rows(full, 1), SourceForm::kBt);
   for (std::size_t t = 2; t <= 6; ++t) {
     const Matrix k_hist = prefix_rows(full, t);
-    ASSERT_TRUE(gemm1.append_bt_rows(inc1, k_hist));
-    ASSERT_TRUE(gemm3.append_bt_rows(inc3, k_hist));
+    ASSERT_TRUE(gemm1.append(inc1, k_hist, SourceForm::kBt));
+    ASSERT_TRUE(gemm3.append(inc3, k_hist, SourceForm::kBt));
     expect_same_operand(inc3, inc1);
     const Matrix a = Matrix::random_gaussian(2, 10, arng);
     const GemmResult r1 = gemm1.multiply_prepared(a, inc1);
@@ -310,9 +341,9 @@ std::shared_ptr<PreparedOperand> kv_operand(std::size_t elems) {
 
 TEST(KvCache, LruEvictionAndExactByteAccounting) {
   const std::size_t unit = kv_operand(64)->bytes();
-  nn::KvPreparedCacheConfig cfg;
+  nn::PreparedStoreConfig cfg;
   cfg.capacity_bytes = 3 * unit;
-  nn::KvPreparedCache cache(cfg);
+  nn::PreparedStore cache(cfg);
 
   EXPECT_EQ(cache.lookup(1), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -346,9 +377,9 @@ TEST(KvCache, LruEvictionAndExactByteAccounting) {
 
 TEST(KvCache, UpdatedReaccountsGrownEntries) {
   const std::size_t unit = kv_operand(64)->bytes();
-  nn::KvPreparedCacheConfig cfg;
+  nn::PreparedStoreConfig cfg;
   cfg.capacity_bytes = 3 * unit;
-  nn::KvPreparedCache cache(cfg);
+  nn::PreparedStore cache(cfg);
 
   auto grows = kv_operand(64);
   cache.insert(1, grows);
@@ -375,20 +406,22 @@ TEST(KvCache, UpdatedReaccountsGrownEntries) {
 }
 
 TEST(KvCache, EraseClearAndDisabledMode) {
-  nn::KvPreparedCache cache;
+  nn::PreparedStore cache;
   cache.insert(1, kv_operand(8));
   cache.insert(2, kv_operand(8));
   cache.erase(1);
   EXPECT_EQ(cache.stats().invalidations, 1u);
   EXPECT_EQ(cache.lookup(1), nullptr);
+  // clear() is a bulk reset, not an invalidation (PreparedStore's
+  // counting rule, shared with the weight store).
   cache.clear();
-  EXPECT_EQ(cache.stats().invalidations, 2u);
+  EXPECT_EQ(cache.stats().invalidations, 1u);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().resident_bytes, 0u);
 
-  nn::KvPreparedCacheConfig off;
+  nn::PreparedStoreConfig off;
   off.enabled = false;
-  nn::KvPreparedCache disabled(off);
+  nn::PreparedStore disabled(off);
   disabled.insert(1, kv_operand(8));
   EXPECT_EQ(disabled.lookup(1), nullptr);
   EXPECT_EQ(disabled.stats().entries, 0u);
@@ -446,7 +479,7 @@ TEST(KvAttention, DecodePreparedBitIdenticalToUnprepared) {
   }
   EXPECT_EQ(kvp.tokens, steps);
 
-  const nn::KvPreparedCacheStats& st = bp->kv_cache()->stats();
+  const nn::PreparedStoreStats& st = bp->kv_cache()->stats();
   // Two handles per head; each serves one miss then steps-1 hits, and
   // with the loud first token every hit extends in place.
   EXPECT_EQ(st.misses, 2 * heads);
@@ -471,7 +504,7 @@ TEST(KvAttention, DisabledCacheStillBitIdentical) {
   GemmConfig cfg;
   cfg.array_rows = 4;
   cfg.array_cols = 4;
-  nn::KvPreparedCacheConfig off;
+  nn::PreparedStoreConfig off;
   off.enabled = false;
   nn::PhotonicBackend cold(core::make_pdac_driver(8), cfg, {}, off);
   auto warm = attention_backend();
@@ -549,12 +582,91 @@ TEST(KvAttention, GuardedEpochBumpRebuildsMidSequence) {
   }
   // Every resident entry (two per head) went stale at the bump and was
   // rebuilt exactly once; appends resumed afterwards.
-  const nn::KvPreparedCacheStats& st = gp.kv_cache()->stats();
+  const nn::PreparedStoreStats& st = gp.kv_cache()->stats();
   EXPECT_EQ(st.rebuilds, rebuilds_before_bump + 2 * heads);
   EXPECT_GT(st.appends, 0u);
 
   nn::MultiHeadAttention::release_kv_state(kvp, gp);
   EXPECT_EQ(gp.kv_cache()->stats().entries, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// GuardedKvAppend: the guarded in-place append against the unprepared product.
+// ---------------------------------------------------------------------------
+
+void expect_same_health(const faults::HealthSnapshot& a, const faults::HealthSnapshot& b) {
+  for (const auto field :
+       {&faults::HealthSnapshot::products, &faults::HealthSnapshot::detections,
+        &faults::HealthSnapshot::tiles_checked, &faults::HealthSnapshot::mismatched_tiles,
+        &faults::HealthSnapshot::sec_corrections, &faults::HealthSnapshot::retries,
+        &faults::HealthSnapshot::retrims, &faults::HealthSnapshot::fences,
+        &faults::HealthSnapshot::unrecovered, &faults::HealthSnapshot::drift_tiles,
+        &faults::HealthSnapshot::drift_products, &faults::HealthSnapshot::proactive_retrims,
+        &faults::HealthSnapshot::governed_retrims, &faults::HealthSnapshot::probe_events,
+        &faults::HealthSnapshot::detection_latency_tiles}) {
+    EXPECT_EQ(a.*field, b.*field);
+  }
+  EXPECT_EQ(a.worst_drift_ratio, b.worst_drift_ratio);
+  EXPECT_EQ(a.worst_residual, b.worst_residual);
+  EXPECT_EQ(a.worst_tolerance, b.worst_tolerance);
+  expect_same_events(a.checksum_events, b.checksum_events);
+  expect_same_events(a.retry_events, b.retry_events);
+  EXPECT_EQ(a.lane_mismatches, b.lane_mismatches);
+}
+
+// Every decode length 1..40 on an 8×8 array: the scores operand crosses
+// four checksum-stripe boundaries and the context operand's padded
+// column capacity doubles several times.  One history row outgrows the
+// recorded max-abs, so that step must take a counted rebuild; every
+// other step extends the resident operand in place.  Outputs, events and
+// the health monitor must match a twin backend running the unprepared
+// product at every step, with the guard's row lanes on and off, on the
+// scalar and SIMD tiers.
+TEST(GuardedKvAppend, MatchesUnpreparedAtEveryLengthOnBothAxes) {
+  const std::size_t d = 12;
+  const std::size_t steps = 40;
+  const std::size_t loud = 23;  // 0-based history row that outgrows abs_max
+  Matrix full = history_rows(steps, d, 404);
+  full(loud, 5) = 3.0 * full(0, 0);
+
+  for (const ExecutionPath path : {ExecutionPath::kKernel, ExecutionPath::kKernelSimd}) {
+    for (const bool column_only : {false, true}) {
+      for (const nn::KvAxis axis : {nn::KvAxis::kCols, nn::KvAxis::kRows}) {
+        faults::LaneBank bank_p(kv_bank_config());
+        faults::LaneBank bank_u(kv_bank_config());
+        faults::production_trim(bank_p);
+        faults::production_trim(bank_u);
+        faults::GuardedBackendConfig gcfg;
+        gcfg.array_rows = 8;
+        gcfg.array_cols = 8;
+        gcfg.path = path;
+        gcfg.guard.column_only = column_only;
+        faults::GuardedBackend gp(bank_p, gcfg);
+        faults::GuardedBackend gu(bank_u, gcfg);
+
+        const bool cols = axis == nn::KvAxis::kCols;
+        const nn::KvHandle handle{nn::next_kv_id(), axis};
+        Rng arng(17);
+        for (std::size_t t = 1; t <= steps; ++t) {
+          SCOPED_TRACE(testing::Message() << "path " << static_cast<int>(path) << " column_only "
+                                          << column_only << " cols " << cols << " t=" << t);
+          const Matrix hist = prefix_rows(full, t);
+          const Matrix a = Matrix::random_gaussian(3, cols ? d : t, arng);
+          const Matrix yp = gp.matmul_kv(a, hist, handle);
+          const Matrix yu = cols ? gu.matmul(a, hist.transposed()) : gu.matmul(a, hist);
+          expect_bit_identical(yp, yu, "guarded kv step");
+          expect_same_events(gp.events(), gu.events());
+          expect_same_health(gp.monitor().snapshot(), gu.monitor().snapshot());
+        }
+        const nn::PreparedStoreStats& st = gp.kv_cache()->stats();
+        EXPECT_EQ(st.misses, 1u);
+        EXPECT_EQ(st.hits, steps - 1);
+        EXPECT_EQ(st.rebuilds, 1u);
+        EXPECT_EQ(st.appends, steps - 2);
+        EXPECT_EQ(gp.monitor().snapshot().detections, 0u);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@
 #include "faults/self_test.hpp"
 #include "nn/backend.hpp"
 #include "nn/linear.hpp"
-#include "nn/operand_cache.hpp"
+#include "nn/prepared_store.hpp"
 #include "ptc/gemm_engine.hpp"
 
 namespace {
@@ -43,7 +43,7 @@ void expect_same_events(const EventCounter& a, const EventCounter& b) {
   EXPECT_EQ(a.cycles, b.cycles);
 }
 
-std::shared_ptr<const PreparedOperand> dummy_operand(std::size_t elems, std::uint64_t epoch) {
+std::shared_ptr<PreparedOperand> dummy_operand(std::size_t elems, std::uint64_t epoch) {
   auto op = std::make_shared<PreparedOperand>();
   op->encoded = Matrix(1, elems);
   op->epoch = epoch;
@@ -127,7 +127,7 @@ TEST(MultiplyPrepared, ScratchReuseAcrossAlternatingShapes) {
 }
 
 TEST(OperandCache, HitMissAndVersionInvalidation) {
-  nn::OperandCache cache;
+  nn::PreparedStore cache;
   EXPECT_EQ(cache.lookup(1, 1, 0), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
 
@@ -145,10 +145,10 @@ TEST(OperandCache, HitMissAndVersionInvalidation) {
 }
 
 TEST(OperandCache, ContainsIsAPureProbe) {
-  nn::OperandCacheConfig cfg;
+  nn::PreparedStoreConfig cfg;
   const std::size_t one = dummy_operand(64, 0)->bytes();
   cfg.capacity_bytes = 2 * one;
-  nn::OperandCache cache(cfg);
+  nn::PreparedStore cache(cfg);
   cache.insert(1, 1, dummy_operand(64, /*epoch=*/5));
   cache.insert(2, 1, dummy_operand(64, /*epoch=*/5));
 
@@ -160,7 +160,7 @@ TEST(OperandCache, ContainsIsAPureProbe) {
 
   // No stats mutation and no stale-entry eviction: the scheduler probes
   // without perturbing the cache.
-  const nn::OperandCacheStats before = cache.stats();
+  const nn::PreparedStoreStats before = cache.stats();
   for (int i = 0; i < 8; ++i) (void)cache.contains(1, 2, 5);
   EXPECT_EQ(cache.stats().hits, before.hits);
   EXPECT_EQ(cache.stats().misses, before.misses);
@@ -177,7 +177,7 @@ TEST(OperandCache, ContainsIsAPureProbe) {
 }
 
 TEST(OperandCache, EpochInvalidation) {
-  nn::OperandCache cache;
+  nn::PreparedStore cache;
   cache.insert(7, 1, dummy_operand(4, /*epoch=*/3));
   EXPECT_NE(cache.lookup(7, 1, 3), nullptr);
   // Encoder state moved on: same weight, same version, new epoch.
@@ -187,10 +187,10 @@ TEST(OperandCache, EpochInvalidation) {
 }
 
 TEST(OperandCache, LruEvictionByBytes) {
-  nn::OperandCacheConfig cfg;
+  nn::PreparedStoreConfig cfg;
   const std::size_t one = dummy_operand(64, 0)->bytes();
   cfg.capacity_bytes = 3 * one;
-  nn::OperandCache cache(cfg);
+  nn::PreparedStore cache(cfg);
   cache.insert(1, 1, dummy_operand(64, 0));
   cache.insert(2, 1, dummy_operand(64, 0));
   cache.insert(3, 1, dummy_operand(64, 0));
@@ -208,9 +208,9 @@ TEST(OperandCache, LruEvictionByBytes) {
 }
 
 TEST(OperandCache, OversizedOperandIsRejectedUpFront) {
-  nn::OperandCacheConfig cfg;
+  nn::PreparedStoreConfig cfg;
   cfg.capacity_bytes = 64;  // smaller than any real operand
-  nn::OperandCache cache(cfg);
+  nn::PreparedStore cache(cfg);
   cache.insert(1, 1, dummy_operand(1024, 0));
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().resident_bytes, 0u);
@@ -220,10 +220,10 @@ TEST(OperandCache, OversizedOperandIsRejectedUpFront) {
 }
 
 TEST(OperandCache, OversizedInsertLeavesResidentsUntouched) {
-  nn::OperandCacheConfig cfg;
+  nn::PreparedStoreConfig cfg;
   const std::size_t one = dummy_operand(64, 0)->bytes();
   cfg.capacity_bytes = 2 * one;
-  nn::OperandCache cache(cfg);
+  nn::PreparedStore cache(cfg);
   cache.insert(1, 1, dummy_operand(64, 0));
   cache.insert(2, 1, dummy_operand(64, 0));
   const std::uint64_t resident = cache.stats().resident_bytes;
@@ -241,12 +241,99 @@ TEST(OperandCache, OversizedInsertLeavesResidentsUntouched) {
 }
 
 TEST(OperandCache, DisabledCacheStoresNothing) {
-  nn::OperandCacheConfig cfg;
+  nn::PreparedStoreConfig cfg;
   cfg.enabled = false;
-  nn::OperandCache cache(cfg);
+  nn::PreparedStore cache(cfg);
   cache.insert(1, 1, dummy_operand(8, 0));
   EXPECT_EQ(cache.lookup(1, 1, 0), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
+}
+
+// The store's two residency policies and its one counting rule.
+TEST(PreparedStore, ObtainServesOnlyMatchingVersionEpochAndPacking) {
+  nn::PreparedStore store;
+  int prepares = 0;
+  const auto prepare_on = [&](std::uint64_t epoch, std::vector<std::size_t> channels) {
+    return [&prepares, epoch, channels] {
+      ++prepares;
+      PreparedOperand op = *dummy_operand(8, epoch);
+      op.channels = channels;
+      return op;
+    };
+  };
+  const nn::WeightHandle w{5, 1};
+  const std::vector<std::size_t> all{0, 1, 2, 3};
+  const std::vector<std::size_t> fenced{0, 2, 3};
+
+  const auto first = store.obtain(w, 7, all, prepare_on(7, all));
+  EXPECT_EQ(store.obtain(w, 7, all, prepare_on(7, all)), first);
+  EXPECT_EQ(prepares, 1);
+  EXPECT_EQ(store.stats().misses, 1u);
+  EXPECT_EQ(store.stats().hits, 1u);
+
+  // Packing moved under the same epoch (a fence without an epoch bump):
+  // served as a hit, then refused and re-prepared.
+  const auto repacked = store.obtain(w, 7, fenced, prepare_on(7, fenced));
+  EXPECT_EQ(prepares, 2);
+  EXPECT_EQ(repacked->channels, fenced);
+  EXPECT_EQ(store.stats().hits, 2u);
+  EXPECT_EQ(store.stats().invalidations, 1u);
+
+  // Epoch or content version moved: a stale miss each.
+  (void)store.obtain(w, 8, fenced, prepare_on(8, fenced));
+  (void)store.obtain({5, 2}, 8, fenced, prepare_on(8, fenced));
+  EXPECT_EQ(prepares, 4);
+  EXPECT_EQ(store.stats().invalidations, 3u);
+  EXPECT_EQ(store.stats().misses, 3u);
+  EXPECT_EQ(store.stats().entries, 1u);
+}
+
+TEST(PreparedStore, ExtendAppendsInPlaceOrRebuildsCounted) {
+  nn::PreparedStore store;
+  int prepares = 0;
+  const auto prepare = [&] {
+    ++prepares;
+    return *dummy_operand(8, 0);
+  };
+  const auto grow = [](PreparedOperand& op) {
+    op.encoded = Matrix(1, op.encoded.cols() + 8);
+    return true;
+  };
+  const auto refuse = [](PreparedOperand&) { return false; };
+
+  const auto fresh = store.extend(3, grow, prepare);  // nothing resident: prepare
+  EXPECT_EQ(prepares, 1);
+  EXPECT_EQ(store.stats().misses, 1u);
+  EXPECT_EQ(store.stats().appends, 0u);
+
+  const auto grown = store.extend(3, grow, prepare);  // resident: append in place
+  EXPECT_EQ(grown, fresh);
+  EXPECT_EQ(prepares, 1);
+  EXPECT_EQ(store.stats().appends, 1u);
+  EXPECT_EQ(store.stats().resident_bytes, grown->bytes());  // re-accounted
+
+  const auto rebuilt = store.extend(3, refuse, prepare);  // refused: counted rebuild
+  EXPECT_NE(rebuilt, fresh);
+  EXPECT_EQ(prepares, 2);
+  EXPECT_EQ(store.stats().hits, 2u);
+  EXPECT_EQ(store.stats().rebuilds, 1u);
+  EXPECT_EQ(store.stats().resident_bytes, rebuilt->bytes());
+}
+
+TEST(PreparedStore, SupersedingInsertAndClearAreNotInvalidations) {
+  nn::PreparedStore store;
+  store.insert(1, 1, dummy_operand(8, 0));
+  store.insert(1, 2, dummy_operand(16, 0));  // supersedes version 1
+  EXPECT_EQ(store.stats().entries, 1u);
+  EXPECT_EQ(store.stats().resident_bytes, dummy_operand(16, 0)->bytes());
+  EXPECT_NE(store.lookup(1, 2, 0), nullptr);
+  store.insert(2, dummy_operand(8, 0));
+  store.clear();
+  EXPECT_EQ(store.stats().invalidations, 0u);
+  EXPECT_EQ(store.stats().entries, 0u);
+  store.insert(3, dummy_operand(8, 0));
+  store.erase(3);
+  EXPECT_EQ(store.stats().invalidations, 1u);
 }
 
 TEST(PhotonicBackendCache, WarmForwardBitIdenticalAndAccounted) {
