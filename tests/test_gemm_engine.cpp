@@ -129,9 +129,10 @@ void expect_events_equal(const EventCounter& a, const EventCounter& b) {
 }
 
 TEST(PhotonicGemm, ExecutedEventsEqualAnalyticCountsAllFields) {
-  // The reconciliation contract: multiply() accumulates detection, DDot
-  // and MAC events from the dots it actually runs, plus tile-level
-  // modulation/ADC/cycle charges — and that total equals count_events()
+  // The reconciliation contract: on the device graph multiply()
+  // accumulates detection, DDot and MAC events from the dots it actually
+  // runs, plus tile-level modulation/ADC/cycle charges — and that total,
+  // like the fused tier's closed-form charge, equals count_events()
   // field-for-field, ragged tiles and fenced lanes included.
   const auto drv = core::make_pdac_driver(8);
   GemmConfig cfg;
@@ -145,6 +146,9 @@ TEST(PhotonicGemm, ExecutedEventsEqualAnalyticCountsAllFields) {
   const Matrix b = Matrix::random_gaussian(22, 9, rng);
   const GemmResult res = gemm.multiply(a, b);
   expect_events_equal(res.events, gemm.count_events(13, 22, 9));
+  cfg.path = ExecutionPath::kDeviceGraph;
+  const PhotonicGemm device_gemm(*drv, cfg);
+  expect_events_equal(device_gemm.multiply(a, b).events, gemm.count_events(13, 22, 9));
 }
 
 TEST(PhotonicGemm, UnitArrayDegeneratesToStandaloneDotConvention) {
