@@ -55,7 +55,6 @@
 #include "common/matrix.hpp"
 #include "common/rng.hpp"
 #include "common/simd.hpp"
-#include "faults/degraded_backend.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/guarded_backend.hpp"
 #include "nn/backend.hpp"

@@ -1,7 +1,6 @@
 #include "faults/guarded_backend.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -10,30 +9,8 @@
 #include "common/math_utils.hpp"
 #include "common/require.hpp"
 #include "common/simd.hpp"
-#include "converters/quantizer.hpp"
 
 namespace pdac::faults {
-
-namespace {
-
-/// Four checksum references at once: out[l] = Σ_p x[l][p]·y[l][p].  Each
-/// lane keeps the one-lane fold's ascending-p `ref += x[p] * y[p]`
-/// sequence and operand order, so every result is bit-identical to it;
-/// the lanes only interleave for instruction-level parallelism.
-/// (simd::dot4 folds differently and would move the residual bits.)
-void fold_refs4(const std::array<const double*, 4>& x, const std::array<const double*, 4>& y,
-                std::size_t k, std::array<double, 4>& out) {
-  double r0 = 0.0, r1 = 0.0, r2 = 0.0, r3 = 0.0;
-  for (std::size_t p = 0; p < k; ++p) {
-    r0 += x[0][p] * y[0][p];
-    r1 += x[1][p] * y[1][p];
-    r2 += x[2][p] * y[2][p];
-    r3 += x[3][p] * y[3][p];
-  }
-  out = {r0, r1, r2, r3};
-}
-
-}  // namespace
 
 ptc::ExecutionPath auto_execution_path(const LaneBank& bank) {
   LaneEncodeTable table;
@@ -54,7 +31,6 @@ GuardedBackend::GuardedBackend(LaneBank& bank, GuardedBackendConfig cfg,
       tracker_(cfg.drift) {
   PDAC_REQUIRE(cfg_.array_rows >= 1 && cfg_.array_cols >= 1,
                "GuardedBackend: array dimensions must be positive");
-  cfg_.guard.enabled = true;  // detection is the point of this backend
   if (shared_monitor != nullptr) monitor_ = shared_monitor;
   tracker_.resize(bank_.lanes());
   recalibrate();  // construction is a trusted calibration point
@@ -173,14 +149,6 @@ double GuardedBackend::current_at(std::size_t rail, std::size_t channel,
   return bank_.lane(rail, channel).model.encode_code(code);
 }
 
-void GuardedBackend::dual_encode(std::size_t rail, std::size_t channel, double r, double& cur,
-                                 double& gold, std::int16_t* q) const {
-  const std::int32_t code = quantize(r);
-  cur = current_at(rail, channel, code);
-  gold = golden_[table_.index(rail, channel, code)];
-  if (q != nullptr) *q = table_.grid_code(rail, channel, code);
-}
-
 bool GuardedBackend::quant_live() const {
   return cfg_.path == ptc::ExecutionPath::kKernelQuant && cfg_.use_lane_table &&
          table_.fresh(bank_) && table_.quant_available();
@@ -199,19 +167,31 @@ std::vector<std::size_t> GuardedBackend::implicated_lanes(
   return lanes;
 }
 
-ptc::OperandBuilder GuardedBackend::builder(std::vector<std::size_t> channels) const {
+ptc::OperandBuilder GuardedBackend::builder(std::vector<std::size_t> channels,
+                                            std::size_t rail) const {
+  const bool guarded = cfg_.guard.enabled;
   const bool quant = quant_live();
-  ptc::OperandLayout layout{bank_.epoch(), std::move(channels), true, quant,
-                            cfg_.guard.column_only ? 0 : cfg_.array_cols};
+  // A's checksum stripes are array_rows high; B's array_cols wide, and
+  // skipped in column-only mode (no row lanes read them).
+  const std::size_t stripe =
+      rail == 0 ? cfg_.array_rows : (cfg_.guard.column_only ? 0 : cfg_.array_cols);
+  ptc::OperandLayout layout{bank_.epoch(), std::move(channels), guarded, quant,
+                            guarded ? stripe : 0};
   return ptc::OperandBuilder(
       std::move(layout),
-      [this, quant](const ptc::EncodeSpan& s) {
+      [this, rail, guarded, quant](const ptc::EncodeSpan& s) {
+        // Quantize once, then read the CURRENT-state amplitude, the
+        // GOLDEN one and, while the quant tier is live, the lane table's
+        // int16 grid code.
         for (std::size_t i = 0; i < s.norm.size(); ++i) {
-          dual_encode(1, s.channels[(s.p0 + i) % s.channels.size()], s.norm[i], s.encoded[i],
-                      s.reference[i], quant ? &s.qcodes[i] : nullptr);
+          const std::size_t channel = s.channels[(s.p0 + i) % s.channels.size()];
+          const std::int32_t code = quantize(s.norm[i]);
+          s.encoded[i] = current_at(rail, channel, code);
+          if (guarded) s.reference[i] = golden_[table_.index(rail, channel, code)];
+          if (quant) s.qcodes[i] = table_.grid_code(rail, channel, code);
         }
       },
-      *pool_, staging_);
+      *pool_, rail == 0 ? a_staging_ : staging_);
 }
 
 Matrix GuardedBackend::matmul(const Matrix& a, const Matrix& b) {
@@ -220,7 +200,7 @@ Matrix GuardedBackend::matmul(const Matrix& a, const Matrix& b) {
   product_entry();  // may re-trim (and bump the epoch) before the prepare
   if (cfg_.use_lane_table) table_.ensure(bank_);
   auto pb = std::make_shared<const ptc::PreparedOperand>(
-      builder(bank_.surviving_channels()).prepare(b, ptc::SourceForm::kB));
+      builder(bank_.surviving_channels(), 1).prepare(b, ptc::SourceForm::kB));
   return run_guarded(a, b, ptc::SourceForm::kB, std::move(pb), nullptr);
 }
 
@@ -232,7 +212,7 @@ Matrix GuardedBackend::matmul_cached(const Matrix& a, const Matrix& b,
   if (cfg_.use_lane_table) table_.ensure(bank_);
   const std::vector<std::size_t> channels = bank_.surviving_channels();
   auto pb = cache_.obtain(weight, bank_.epoch(), channels, [&] {
-    return builder(channels).prepare(b, ptc::SourceForm::kB);
+    return builder(channels, 1).prepare(b, ptc::SourceForm::kB);
   });
   return run_guarded(a, b, ptc::SourceForm::kB, std::move(pb), &weight);
 }
@@ -246,25 +226,25 @@ Matrix GuardedBackend::matmul_kv(const Matrix& a, const Matrix& kv,
   if (bank_.usable_channels() == 0) return Matrix(a.rows(), bt ? kv.rows() : kv.cols());
   product_entry();
   if (cfg_.use_lane_table) table_.ensure(bank_);
-  const ptc::OperandBuilder b = builder(bank_.surviving_channels());
+  const ptc::OperandBuilder b = builder(bank_.surviving_channels(), 1);
   auto pb = kv_cache_.extend(
       handle.id, [&](ptc::PreparedOperand& op) { return b.append(op, kv, form); },
       [&] { return b.prepare(kv, form); });
   return run_guarded(a, kv, form, std::move(pb), nullptr, &handle);
 }
 
-ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
-                                        const Matrix& ae_gold, const Matrix& xsum,
+ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, const ptc::PreparedOperand& pa,
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,
                                         double rescale, Matrix& c, double* sums,
                                         const std::vector<DotUpset>* upsets,
                                         const CodeMatrix* qae) const {
-  const std::size_t k = ae.cols();
+  const std::size_t k = pa.rows;
+  const Matrix& ae = pa.encoded;
   // Numeric tier for the data dots (cfg_.path).  The integer tier needs
   // the staged codes on BOTH sides and the prepared (not live-re-encoded)
   // B data — the caller certifies that by passing `qae`; `&bdata ==
-  // &pb.encoded` re-checks the B side.  Checksum references below always
-  // stay double-precision golden dots, whatever the data tier.
+  // &pb.encoded` re-checks the B side.  Checksum references stay
+  // double-precision golden dots, whatever the data tier.
   // `>= k` + physical-shape mirror rather than `== k`: rows-axis KV
   // appends pad the column capacity, and the dots below take k
   // explicitly, so the padded tail is never read.
@@ -282,11 +262,11 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
     const auto x = ae.row(i);
     for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
       const auto y = bdata.row(j);
-      // Ascending p matches the serial chunk order (and DegradedBackend),
-      // so accumulation is bit-identical across thread counts and to a
-      // post-fence degraded re-run.  The fast tiers reassociate (SIMD)
-      // or round exactly once (quant: Σ codes / max_code², exact int64
-      // sum) — both inside the guard band the verdicts are judged by.
+      // Ascending p matches the serial chunk order, so accumulation is
+      // bit-identical across thread counts and to a post-fence re-run.
+      // The fast tiers reassociate (SIMD) or round exactly once (quant:
+      // Σ codes / max_code², exact int64 sum) — both inside the guard
+      // band the verdicts are judged by.
       double acc = 0.0;
       if (quant_tile) {
         acc = static_cast<double>(
@@ -309,97 +289,8 @@ ptc::TileCheck GuardedBackend::run_tile(const ptc::Tile& tile, std::size_t t, co
       csum[j - tile.col0] += acc;
     }
   }
-
-  ptc::TileCheck check;
-  check.tile = t;
-  const double mag = static_cast<double>(k);
-  const double tol_row = ptc::guard_tolerance(cfg_.guard, k, tile.cols, mag);
-  const double tol_col = ptc::guard_tolerance(cfg_.guard, k, tile.rows, mag);
-  // Hysteresis band (DESIGN.md §16): three verdict zones per comparison.
-  //   res ≤ tol             clean
-  //   tol < res ≤ band·tol  drift — absorbed (recorded, no escalation)
-  //   res > band·tol        excursion — mismatch, the ladder fires
-  // band == 1 collapses the middle zone and reproduces the pre-drift
-  // verdicts bit-for-bit.  NaN is always a mismatch, never "in band".
-  const double band = std::max(1.0, cfg_.guard.drift_band);
-  const auto note = [&check, band](double residual, double tol) {
-    if (std::isnan(residual) || residual > check.worst_residual) {
-      check.worst_residual = residual;
-      check.tolerance = tol;
-    }
-    if (std::isnan(residual) || residual > band * tol) {
-      check.ok = false;
-    } else if (residual > tol) {
-      check.drift_ratio = std::max(check.drift_ratio, residual / tol);
-    }
-  };
-  // Out-of-band lane bookkeeping for single-error correction: one bad
-  // row lane × one bad column lane pinpoints the corrupted element.
-  // "Bad" is judged at the *outer* band edge, so lanes drifting inside
-  // the band cannot blur a hard strike's single-error signature.
-  std::size_t bad_rows = 0, bad_cols = 0;
-  std::size_t sec_row = 0, sec_col = 0;
-  double row_delta = 0.0, col_delta = 0.0;
-  const auto judge = [&](double res, double tol, std::size_t at, std::size_t& bad,
-                         std::size_t& sec, double& delta) {
-    note(std::abs(res), tol);
-    if (std::isnan(res) || std::abs(res) > band * tol) {
-      ++bad;
-      sec = at;
-      delta = res;
-    }
-  };
-  // References fold four lanes at a time; a ragged group repeats its last
-  // lane and judges only the real ones, in ascending order.
-  std::array<const double*, 4> xl{};
-  std::array<const double*, 4> yl{};
-  std::array<double, 4> ref{};
-  // Row lanes: Σ_j tile(i,j) vs ⟨golden x′_i, cached golden Σ_j y′_j⟩.
-  // The column-only cheap mode skips them (and their spare-lane charge).
-  if (!cfg_.guard.column_only) {
-    const double* ysum = pb.checksum.row(tile.col0 / pb.checksum_stripe).data();
-    yl.fill(ysum);
-    for (std::size_t g = 0; g < tile.rows; g += 4) {
-      const std::size_t lanes = std::min<std::size_t>(4, tile.rows - g);
-      for (std::size_t l = 0; l < 4; ++l) {
-        xl[l] = ae_gold.row(tile.row0 + g + std::min(l, lanes - 1)).data();
-      }
-      fold_refs4(xl, yl, k, ref);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        judge(rsum[g + l] - ref[l], tol_row, tile.row0 + g + l, bad_rows, sec_row, row_delta);
-      }
-    }
-  }
-  // Column lanes: Σ_i tile(i,j) vs ⟨golden Σ_i x′_i, golden y′_j⟩.
-  xl.fill(xsum.row(tile.row0 / cfg_.array_rows).data());
-  for (std::size_t g = 0; g < tile.cols; g += 4) {
-    const std::size_t lanes = std::min<std::size_t>(4, tile.cols - g);
-    for (std::size_t l = 0; l < 4; ++l) {
-      yl[l] = pb.reference.row(tile.col0 + g + std::min(l, lanes - 1)).data();
-    }
-    fold_refs4(xl, yl, k, ref);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      judge(csum[g + l] - ref[l], tol_col, tile.col0 + g + l, bad_cols, sec_col, col_delta);
-    }
-  }
-
-  // Single-error correction: both residuals estimate the same raw
-  // accumulator error, so when they agree (within both bands) the
-  // element at the intersection is corrected digitally and no escalation
-  // rung fires.  Lane-class faults corrupt whole encode rows/columns and
-  // never present this signature, so they still escalate.  The agreement
-  // window widens with the hysteresis band: a strike landing on lanes
-  // drifting mid-band sees each delta contaminated by up to band·tol of
-  // absorbed wander, and the correction may carry that much of it into
-  // the element — bounded by exactly the error the band already admits.
-  if (!check.ok && cfg_.guard.sec_correction && !cfg_.guard.column_only && bad_rows == 1 &&
-      bad_cols == 1 && std::isfinite(row_delta) && std::isfinite(col_delta) &&
-      std::abs(row_delta - col_delta) <= band * (tol_row + tol_col)) {
-    c(sec_row, sec_col) -= row_delta * rescale;
-    check.ok = true;
-    check.corrected = 1;
-  }
-  return check;
+  if (!cfg_.guard.enabled) return {};
+  return ptc::check_tile(cfg_.guard, tile, k, pa, pb, rsum, csum, rescale, c);
 }
 
 std::size_t GuardedBackend::fence_diverged_lanes(const std::vector<std::size_t>& channels) {
@@ -442,61 +333,32 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& b_src, ptc::So
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t n = pb->cols;
+  const bool guarded = cfg_.guard.enabled;
 
-  // A-side pipeline: normalize once, then dual-encode (current + golden)
-  // under the operand's channel packing.
-  const double a_scale = converters::max_abs_scale(a.data());
-  Matrix an(m, k);
-  for (std::size_t i = 0; i < a.size(); ++i) an.data()[i] = a.data()[i] / a_scale;
-  Matrix ae(m, k);
-  Matrix ae_gold(m, k);
-  CodeMatrix qae;  // A-side int16 codes, staged only when the quant tier is live
-  Matrix xsum;
-  const std::size_t row_stripes = (m + cfg_.array_rows - 1) / cfg_.array_rows;
+  // A-side pipeline: a Bᵀ-form prepare of A through the x-rail lanes
+  // under the operand's packing, into backend-owned scratch — current +
+  // golden encodes and row-stripe checksums when guarded, int16 codes
+  // while the quant tier is live.  Its own staging keeps the normalized
+  // rows for storm re-encodes: a ladder re-prepare of B cannot overwrite
+  // them.
+  ptc::PreparedOperand& pa = a_op_;
   // Encode stamps: the bank epoch each A row's and each B column's
   // CURRENT-state encoding was made at.  Every lane mutator bumps the
   // epoch (lane_bank.hpp), so a slice stamped with the current epoch
   // already holds the bits a re-encode would produce.
   std::vector<std::uint64_t> a_epoch(m);
   std::vector<std::uint64_t> b_epoch(n);
-  const auto encode_a = [&](const std::vector<std::size_t>& channels) {
-    const std::size_t nl = channels.size();
-    // qcodes may carry padded column capacity past the logical k
-    // (rows-axis KV appends) — `>=` certifies the staged prefix.
-    const bool quant = quant_live() && pb->qcodes.cols() >= k;
-    if (quant) qae.resize(m, k);
-    pool_->parallel_for(m, [&](std::size_t begin, std::size_t end, std::size_t) {
-      for (std::size_t r = begin; r < end; ++r) {
-        const auto src = an.row(r);
-        auto cur = ae.row(r);
-        auto gold = ae_gold.row(r);
-        std::int16_t* q = quant ? qae.row(r).data() : nullptr;
-        for (std::size_t p = 0; p < k; ++p) {
-          dual_encode(0, channels[p % nl], src[p], cur[p], gold[p], q != nullptr ? q + p : nullptr);
-        }
-      }
-    });
-    std::fill(a_epoch.begin(), a_epoch.end(), bank_.epoch());
-    // A row-stripe checksums over the golden encodes.
-    xsum.resize(row_stripes, k);
-    std::fill(xsum.data().begin(), xsum.data().end(), 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto src = ae_gold.row(i);
-      const auto dst = xsum.row(i / cfg_.array_rows);
-      for (std::size_t p = 0; p < k; ++p) dst[p] += src[p];
-    }
+  const auto prepare_a = [&] {
+    builder(pb->channels, 0).prepare(a, ptc::SourceForm::kBt, pa);
+    std::fill(a_epoch.begin(), a_epoch.end(), pa.epoch);
   };
-  encode_a(pb->channels);
+  prepare_a();
 
   Matrix c(m, n);
-  const double rescale = a_scale * pb->scale;
+  const double rescale = pa.scale * pb->scale;
   const std::vector<ptc::Tile> tiles =
       ptc::partition_tiles(m, n, cfg_.array_rows, cfg_.array_cols);
   std::vector<ptc::TileCheck> checks(tiles.size());
-
-  ptc::GuardOutcome outcome;
-  outcome.enabled = true;
-  outcome.tiles_checked = tiles.size();
 
   // Data-side B encodings: the cached/prepared matrix (encoded at
   // pb->epoch) on the fast path; a live copy is materialized only when a
@@ -538,7 +400,7 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& b_src, ptc::So
     };
     for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
       if (a_epoch[i] == now) continue;
-      encode_row(0, an.row(i), ae.row(i));
+      encode_row(0, a_staging_.row(i), pa.encoded.row(i));
       a_epoch[i] = now;
     }
     for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
@@ -577,19 +439,22 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& b_src, ptc::So
       storm_clock_ += storm_steps_per_tile_;
       storm_->advance_to(storm_clock_);
       refresh_tile(tiles[t]);
-      checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, *bdata, *pb, rescale, c,
-                           tile_sums.data(), initial_upsets);
+      checks[t] =
+          run_tile(tiles[t], pa, *bdata, *pb, rescale, c, tile_sums.data(), initial_upsets);
     }
   } else {
     const Matrix& bd = *bdata;
     // The staged codes ride along iff the quant tier certified this
-    // product (qae sized by encode_a); run_tile re-checks per tile.
-    const CodeMatrix* qa = qae.rows() == m ? &qae : nullptr;
+    // product (prepare_a staged them); run_tile re-checks per tile.
+    const CodeMatrix* qa = pa.qcodes.rows() == m ? &pa.qcodes : nullptr;
     ptc::for_each_tile(*pool_, tiles, [&](std::size_t t, std::size_t worker) {
-      checks[t] = run_tile(tiles[t], t, ae, ae_gold, xsum, bd, *pb, rescale, c,
+      checks[t] = run_tile(tiles[t], pa, bd, *pb, rescale, c,
                            tile_sums.data() + worker * sums_stride, initial_upsets, qa);
     });
   }
+  ptc::GuardOutcome outcome;
+  outcome.enabled = true;
+  outcome.tiles_checked = tiles.size();
   {
     const std::size_t nl = pb->channels.size();
     const std::size_t chunks = (k + nl - 1) / nl;
@@ -599,29 +464,14 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& b_src, ptc::So
                                                            cfg_.guard.column_only);
     }
   }
+  // With the guard off nothing is judged, fed or recorded.
+  if (!guarded) return c;
 
+  ptc::fold_checks(checks, outcome);
   std::vector<std::size_t> bad;
   for (std::size_t t = 0; t < tiles.size(); ++t) {
-    const ptc::TileCheck& check = checks[t];
-    if (!check.ok) bad.push_back(t);
-    outcome.tiles_corrected += check.corrected;
-    if (std::isnan(check.worst_residual) || check.worst_residual > outcome.worst_residual) {
-      outcome.worst_residual = check.worst_residual;
-      outcome.worst_tolerance = check.tolerance;
-    }
+    if (!checks[t].ok) bad.push_back(t);
   }
-  outcome.mismatched_tiles = bad.size();
-  if (!bad.empty()) outcome.first_mismatch = bad.front();
-
-  // Aggregate the final verdicts' absorbed-drift evidence (re-runs
-  // overwrite their tile's check, so this reflects what the product
-  // actually returned).
-  const auto tally_drift = [&checks, &outcome] {
-    for (const ptc::TileCheck& check : checks) {
-      if (check.drift_ratio > 0.0) ++outcome.drift_tiles;
-      outcome.worst_drift_ratio = std::max(outcome.worst_drift_ratio, check.drift_ratio);
-    }
-  };
 
   // Drift-evidence feed: one graded sample per product — the worst
   // residual/tolerance ratio of the initial pass — attributed to every
@@ -684,9 +534,10 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& b_src, ptc::So
       std::vector<std::size_t> channels = bank_.surviving_channels();
       if (channels.empty()) {
         // Every channel fenced mid-recovery: the accelerator is offline.
-        // Zero result, mirroring DegradedBackend's outage contract.
+        // Zero result: the same outage contract as a product entered
+        // with every channel fenced.
         monitor_->record_action(GuardAction::kGiveUp);
-        tally_drift();
+        ptc::tally_drift(checks, outcome);
         monitor_->record_product(outcome);
         return Matrix(m, n);
       }
@@ -696,8 +547,8 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& b_src, ptc::So
       // re-ensure the coefficient table first (we are between parallel
       // regions here).
       if (cfg_.use_lane_table) table_.ensure(bank_);
-      auto rebuilt =
-          std::make_shared<ptc::PreparedOperand>(builder(std::move(channels)).prepare(b_src, form));
+      auto rebuilt = std::make_shared<ptc::PreparedOperand>(
+          builder(std::move(channels), 1).prepare(b_src, form));
       if (weight != nullptr) cache_.insert(weight->id, weight->version, rebuilt);
       if (kv != nullptr) {
         // The resident KV entry described the pre-escalation bank; the
@@ -706,7 +557,7 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& b_src, ptc::So
         kv_cache_.record_rebuild();
       }
       pb = rebuilt;
-      encode_a(pb->channels);
+      prepare_a();
       restart_b();
     }
 
@@ -719,8 +570,7 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& b_src, ptc::So
       // stamped before the current epoch are re-encoded.  A rung that
       // re-prepared the operand left every slice current.
       if (!repacked) refresh_tile(tile);
-      checks[t] = run_tile(tile, t, ae, ae_gold, xsum, *bdata, *pb, rescale, c,
-                           tile_sums.data());
+      checks[t] = run_tile(tile, pa, *bdata, *pb, rescale, c, tile_sums.data());
       outcome.tiles_corrected += checks[t].corrected;
       const ptc::EventCounter ev = ptc::tile_events(tile, k, nl);
       events_ += ev;
@@ -735,7 +585,7 @@ Matrix GuardedBackend::run_guarded(const Matrix& a, const Matrix& b_src, ptc::So
     bad = std::move(still_bad);
   }
 
-  tally_drift();
+  ptc::tally_drift(checks, outcome);
   monitor_->record_product(outcome);
   return c;
 }

@@ -1,10 +1,19 @@
-// guarded_backend.hpp — ABFT checksum-guarded GEMM execution over a
-// live (mutable, possibly mid-product-faulting) lane bank.
+// guarded_backend.hpp — GEMM execution over a live (mutable, possibly
+// mid-product-faulting) lane bank, with an optional ABFT checksum guard.
 //
-// DegradedBackend runs honestly on a *known*-degraded bank; this backend
-// closes the window before the knowing: it detects silent corruption
-// in-band, at tile granularity, and drives the faults::EscalationPolicy
-// ladder until the product verifies or the ladder is exhausted.
+// Every operand element encodes through the specific lane device that
+// carries it — x-rail lane for A elements, y-rail lane for B elements —
+// packing reductions onto the surviving WDM channels only; fewer
+// survivors mean more chunks per reduction, which the event counter
+// reports as honest throughput loss.  Both operands run the one
+// ptc::OperandBuilder pipeline (A as a Bᵀ-form prepare).  With the guard
+// on (GuardConfig::enabled, the default here) the backend detects silent
+// corruption in-band, at tile granularity, and drives the
+// faults::EscalationPolicy ladder until the product verifies or the
+// ladder is exhausted.  With it off it stages no golden reference or
+// checksum stripes, judges nothing, feeds no drift sample, runs no ladder
+// and records no verdict — the plain lane-level product on a
+// known-degraded bank.
 //
 // Trust model (DESIGN.md §12).  The controller snapshots every lane's
 // full encode table at calibration time — construction, and again after
@@ -73,9 +82,10 @@ struct GuardedBackendConfig {
   /// (DESIGN.md §17): per-sequence growing operands, appended in place
   /// while the bank's epoch and packing hold, rebuilt otherwise.
   nn::PreparedStoreConfig kv_cache{nn::kKvStoreCapacityBytes};
-  /// Checksum guard band; `enabled` is forced on (that is the point of
-  /// this backend).  Leave noise_sigma 0 on the deterministic lane path.
-  ptc::GuardConfig guard{};
+  /// Checksum guard band.  `enabled` (on by default) is the master
+  /// switch: off runs the bare lane-level product.  Leave noise_sigma 0
+  /// on the deterministic lane path.
+  ptc::GuardConfig guard{.enabled = true};
   /// Recovery ladder bounds + the targeted self-test's BIST config —
   /// including the drift-hysteresis governor knobs (proactive_retrim,
   /// retrim_cooldown_products, window_retrims/window_products).
@@ -87,7 +97,7 @@ struct GuardedBackendConfig {
   /// Serve the CURRENT-state encodes from an epoch-keyed coefficient
   /// table (lane_table.hpp) instead of evaluating lane models per
   /// element.  Bit-identical either way.  Product-level encodes
-  /// (B-side prepares, encode_a) re-ensure it at product entry; storm/retry
+  /// (the A and B prepares) re-ensure it at product entry; storm/retry
   /// re-encodes of stale tile slices rebuild it mid-product only when the
   /// slices need at least as many element encodes as the rebuild
   /// (lanes · codes) — a storm that moves the epoch every tile would
@@ -95,7 +105,8 @@ struct GuardedBackendConfig {
   bool use_lane_table{true};
   /// Numeric tier for the tile data dots (DESIGN.md §15).
   ///   kKernel      — serial scalar accumulation (default): bit-identical
-  ///                  to DegradedBackend's re-run, the reference contract.
+  ///                  to the guard-off product and to a post-fence
+  ///                  re-run, the reference contract.
   ///   kKernelSimd  — blocked double dots (common/simd.hpp): in-band
   ///                  reassociation, same verdict machinery.
   ///   kKernelQuant — exact int16-code dots, served from the lane
@@ -136,10 +147,11 @@ class GuardedBackend final : public nn::GemmBackend {
   explicit GuardedBackend(LaneBank& bank, GuardedBackendConfig cfg = {},
                           HealthMonitor* shared_monitor = nullptr);
 
-  /// Guarded product: every tile verified against the golden references,
-  /// mismatches recovered through the escalation ladder.  With every
-  /// channel fenced the accelerator is offline (all-zero result, no
-  /// events), mirroring DegradedBackend.
+  /// Product through the surviving lanes; with the guard on, every tile
+  /// is verified against the golden references and mismatches are
+  /// recovered through the escalation ladder.  With every
+  /// channel fenced the accelerator is offline: the result is all zeros
+  /// and no events are counted.
   [[nodiscard]] Matrix matmul(const Matrix& a, const Matrix& b) override;
 
   /// Same product with the prepared B side (current + golden encodings
@@ -238,20 +250,16 @@ class GuardedBackend final : public nn::GemmBackend {
   [[nodiscard]] double current_at(std::size_t rail, std::size_t channel,
                                   std::int32_t code) const;
 
-  /// Dual encode of one normalized element: quantize once, then read the
-  /// CURRENT-state amplitude into `cur`, the GOLDEN one into `gold` and,
-  /// when `q` is non-null, the lane table's int16 grid code into `*q`
-  /// (only meaningful while quant_live()).
-  void dual_encode(std::size_t rail, std::size_t channel, double r, double& cur, double& gold,
-                   std::int16_t* q) const;
-
-  /// The B-side pipeline under packing `channels` and the current epoch:
-  /// data through the lanes' CURRENT state, the golden reference and its
-  /// checksum stripes (skipped in column-only mode) through the GOLDEN
-  /// snapshot, qcodes while the quant tier is live.  KV appends through
-  /// it refuse once the epoch or packing moved, so an append can never
-  /// bridge a recalibration.
-  [[nodiscard]] ptc::OperandBuilder builder(std::vector<std::size_t> channels) const;
+  /// The operand pipeline for rail 0 (A, a Bᵀ-form source) or rail 1
+  /// (B) under packing `channels` and the current epoch: data through
+  /// the lanes' CURRENT state; when guarded, the golden reference and its
+  /// checksum stripes (array_rows high for A; array_cols wide for B,
+  /// skipped in column-only mode) through the GOLDEN snapshot; qcodes
+  /// while the quant tier is live.  KV appends through it refuse once the
+  /// epoch or packing moved, so an append can never bridge a
+  /// recalibration.
+  [[nodiscard]] ptc::OperandBuilder builder(std::vector<std::size_t> channels,
+                                            std::size_t rail) const;
 
   /// Full guarded pipeline for one product (shared by all matmul entry
   /// points): `b_src` is B's source in `form`; `pb` must have been prepared
@@ -270,22 +278,18 @@ class GuardedBackend final : public nn::GemmBackend {
   /// precondition is certified against the CURRENT bank state.
   [[nodiscard]] bool quant_live() const;
 
-  /// Compute + verify one tile: data dots from `ae` (current A encodes)
-  /// × `bdata` (current B encodes), references from `ae_gold` /
-  /// `pb.reference` / the cached checksum stripes.  Writes the rescaled
-  /// outputs into `c` and returns the verdict.  `sums` is the caller's
-  /// per-worker scratch of array_rows + array_cols doubles (the tile's
-  /// raw row and column sums).  `upsets` (nullable) are
-  /// the transient dot glitches of the initial pass; single-element
-  /// corruptions whose row×column residuals intersect are corrected
-  /// digitally in place when GuardConfig::sec_correction is on.
-  /// `qae` (nullable) carries the A-side int16 codes matching `ae`; the
-  /// integer tier runs only when it is non-null AND pb.qcodes matches
+  /// Compute + verify one tile: data dots from `pa.encoded` (current A
+  /// encodes) × `bdata` (current B encodes), then ptc::check_tile against
+  /// the golden sides of `pa` / `pb` when the guard is on.  Writes the
+  /// rescaled outputs into `c`.  `sums` is the caller's per-worker
+  /// scratch of array_rows + array_cols doubles (the tile's raw row and
+  /// column sums).  `upsets` (nullable) are the transient dot glitches of
+  /// the initial pass.  `qae` (nullable) carries the A-side int16 codes;
+  /// the integer tier runs only when it is non-null AND pb.qcodes matches
   /// `bdata` — callers pass nullptr for any tile whose operands were
-  /// re-encoded live (storm/retry), dropping that tile to the double
-  /// tier of cfg_.path.
-  [[nodiscard]] ptc::TileCheck run_tile(const ptc::Tile& tile, std::size_t t, const Matrix& ae,
-                                        const Matrix& ae_gold, const Matrix& xsum,
+  /// re-encoded live (storm/retry), dropping that tile to the double tier
+  /// of cfg_.path.
+  [[nodiscard]] ptc::TileCheck run_tile(const ptc::Tile& tile, const ptc::PreparedOperand& pa,
                                         const Matrix& bdata, const ptc::PreparedOperand& pb,
                                         double rescale, Matrix& c, double* sums,
                                         const std::vector<DotUpset>* upsets = nullptr,
@@ -307,7 +311,9 @@ class GuardedBackend final : public nn::GemmBackend {
   std::unique_ptr<ThreadPool> pool_;
   nn::PreparedStore cache_;
   nn::PreparedStore kv_cache_;
-  mutable Matrix staging_;  ///< the builder's normalized-source scratch
+  mutable Matrix staging_;    ///< B builder's normalized-source scratch
+  mutable Matrix a_staging_;  ///< A builder's: normalized A rows for storm re-encodes
+  ptc::PreparedOperand a_op_;  ///< the per-product A operand, reused across products
   EscalationPolicy policy_;
   HealthMonitor own_monitor_;
   HealthMonitor* monitor_{&own_monitor_};  ///< shared fleet monitor when set
@@ -318,7 +324,7 @@ class GuardedBackend final : public nn::GemmBackend {
   /// (LaneEncodeTable::index).
   std::vector<double> golden_;
 
-  /// Current-state lane coefficients for B-side prepares and encode_a;
+  /// Current-state lane coefficients for the operand prepares;
   /// re-ensured at product entry and after every ladder rung that moves
   /// the epoch.
   LaneEncodeTable table_;

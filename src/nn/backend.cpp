@@ -1,7 +1,5 @@
 #include "nn/backend.hpp"
 
-#include <cmath>
-
 #include "common/simd.hpp"
 #include "converters/quantizer.hpp"
 
@@ -47,10 +45,8 @@ void PhotonicBackend::fold_guard(const ptc::GuardOutcome& outcome) {
   guard_.tiles_checked += outcome.tiles_checked;
   guard_.mismatched_tiles += outcome.mismatched_tiles;
   guard_.checksum_events += outcome.checksum_events;
-  if (std::isnan(outcome.worst_residual) || outcome.worst_residual > guard_.worst_residual) {
-    guard_.worst_residual = outcome.worst_residual;
-    guard_.worst_tolerance = outcome.worst_tolerance;
-  }
+  ptc::fold_worst(outcome.worst_residual, outcome.worst_tolerance, guard_.worst_residual,
+                  guard_.worst_tolerance);
 }
 
 Matrix PhotonicBackend::matmul(const Matrix& a, const Matrix& b) {
@@ -60,30 +56,38 @@ Matrix PhotonicBackend::matmul(const Matrix& a, const Matrix& b) {
   return std::move(r.c);
 }
 
-Matrix PhotonicBackend::matmul_cached(const Matrix& a, const Matrix& b,
-                                      const WeightHandle& weight) {
-  // The driver (and therefore the encode LUT and lane mask) is fixed at
-  // construction, so the encoder epoch is a constant 0 and the packing
-  // is empty — entries only go stale when the weight's contents change.
-  std::shared_ptr<const ptc::PreparedOperand> pb =
-      cache_.obtain(weight, 0, {}, [&] { return gemm_.prepare_b(b); });
-  ptc::GemmResult r = gemm_.multiply_prepared(a, *pb);
+Matrix PhotonicBackend::run_repairing(const Matrix& a, const ptc::PreparedOperand& pb,
+                                      PreparedStore& store, std::uint64_t id,
+                                      const std::function<Resident()>& reobtain) {
+  ptc::GemmResult r = gemm_.multiply_prepared(a, pb);
   events_ += r.events;
   fold_guard(r.guard);
   if (r.guard.enabled && !r.guard.clean()) {
     // The driver is immutable, so current and golden encodings coincide
-    // and a guarded mismatch can only mean the cached operand's memory
-    // was corrupted after insertion.  Repair: drop the entry, re-prepare
-    // from the source weight and rerun once (honestly re-charged).
+    // and a guarded mismatch can only mean the resident operand's memory
+    // was corrupted after insertion.  Repair: drop the entry, rebuild it
+    // from the source and rerun once (honestly re-charged).
     ++guard_.cache_repairs;
-    cache_.erase(weight.id);
-    auto fresh = std::make_shared<ptc::PreparedOperand>(gemm_.prepare_b(b));
-    cache_.insert(weight.id, weight.version, fresh);
+    store.erase(id);
+    const Resident fresh = reobtain();
     r = gemm_.multiply_prepared(a, *fresh);
     events_ += r.events;
     fold_guard(r.guard);
   }
   return std::move(r.c);
+}
+
+Matrix PhotonicBackend::matmul_cached(const Matrix& a, const Matrix& b,
+                                      const WeightHandle& weight) {
+  // The driver (and therefore the encode LUT and lane mask) is fixed at
+  // construction, so the encoder epoch is a constant 0 and the packing
+  // is empty — entries only go stale when the weight's contents change.
+  return run_repairing(a, *cache_.obtain(weight, 0, {}, [&] { return gemm_.prepare_b(b); }),
+                       cache_, weight.id, [&] {
+                         auto fresh = std::make_shared<ptc::PreparedOperand>(gemm_.prepare_b(b));
+                         cache_.insert(weight.id, weight.version, fresh);
+                         return fresh;
+                       });
 }
 
 std::shared_ptr<ptc::PreparedOperand> PhotonicBackend::obtain_kv(const Matrix& kv,
@@ -98,22 +102,8 @@ std::shared_ptr<ptc::PreparedOperand> PhotonicBackend::obtain_kv(const Matrix& k
 
 Matrix PhotonicBackend::matmul_kv(const Matrix& a, const Matrix& kv,
                                   const KvHandle& handle) {
-  std::shared_ptr<ptc::PreparedOperand> pb = obtain_kv(kv, handle);
-  ptc::GemmResult r = gemm_.multiply_prepared(a, *pb);
-  events_ += r.events;
-  fold_guard(r.guard);
-  if (r.guard.enabled && !r.guard.clean()) {
-    // Same repair as matmul_cached: the driver is immutable, so a
-    // guarded mismatch can only mean the resident operand's memory was
-    // corrupted — drop it, rebuild from the source history, rerun once.
-    ++guard_.cache_repairs;
-    kv_cache_.erase(handle.id);
-    pb = obtain_kv(kv, handle);
-    r = gemm_.multiply_prepared(a, *pb);
-    events_ += r.events;
-    fold_guard(r.guard);
-  }
-  return std::move(r.c);
+  return run_repairing(a, *obtain_kv(kv, handle), kv_cache_, handle.id,
+                       [&] { return obtain_kv(kv, handle); });
 }
 
 std::string PhotonicBackend::name() const { return "photonic/" + driver_->name(); }

@@ -28,6 +28,7 @@
 // O(1) while staying bit-identical to the from-scratch build.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -147,7 +148,14 @@ class PhotonicBackend final : public GemmBackend {
   }
 
  private:
+  using Resident = std::shared_ptr<const ptc::PreparedOperand>;
+
   void fold_guard(const ptc::GuardOutcome& outcome);
+  /// C = A·pb with the events and verdicts folded in; a guarded mismatch
+  /// erases `id` from `store`, re-obtains the operand and reruns once.
+  [[nodiscard]] Matrix run_repairing(const Matrix& a, const ptc::PreparedOperand& pb,
+                                     PreparedStore& store, std::uint64_t id,
+                                     const std::function<Resident()>& reobtain);
   [[nodiscard]] std::shared_ptr<ptc::PreparedOperand> obtain_kv(
       const Matrix& kv, const KvHandle& handle);
 

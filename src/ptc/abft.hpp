@@ -39,10 +39,15 @@
 // the band.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
+#include "common/matrix.hpp"
 #include "ptc/event_counter.hpp"
+#include "ptc/operand_builder.hpp"
+#include "ptc/tile_scheduler.hpp"
 
 namespace pdac::converters {
 class Quantizer;
@@ -54,8 +59,10 @@ struct DotEngineConfig;
 
 /// Guard knobs; aggregate-initializable so configs stay declarative.
 struct GuardConfig {
-  /// Master switch: off = the engine computes and charges nothing extra
-  /// and results are bit-for-bit the unguarded ones.
+  /// Master switch, honoured by both lane-level backends: off = nothing
+  /// extra is staged, computed, judged or charged, and results are
+  /// bit-for-bit the unguarded ones.  ptc::GemmConfig defaults it off,
+  /// faults::GuardedBackendConfig on.
   bool enabled{false};
   /// Multiplier on `noise_sigma` — the statistical half of the band.
   /// 8σ keeps the clean false-positive probability below ~1e−15 per
@@ -75,13 +82,19 @@ struct GuardConfig {
   /// row, Σ_i x′_i).  Halves the guard's extra MACs, DDots and ADC
   /// samples and still localizes corruption to a column stripe, at the
   /// price of losing row localization — and with it single-error
-  /// correction, which needs the row×column intersection.
+  /// correction, which needs the row×column intersection.  Refused by
+  /// ptc::PhotonicGemm: its column lanes reference the (possibly
+  /// corrupted) encoded operand itself, so column lanes alone detect
+  /// nothing there.
   bool column_only{false};
-  /// Single-error correction (faults::GuardedBackend): when exactly one
+  /// Single-error correction (check_tile): when exactly one
   /// row lane and exactly one column lane mismatch and their residuals
   /// agree, the corrupted element is pinpointed at the intersection and
   /// corrected digitally from the checksum residual — no escalation rung
-  /// fires.  Ignored under column_only (no row lanes to intersect).
+  /// fires.  Ignored under column_only (no row lanes to intersect) and on
+  /// the ptc::PhotonicGemm path, whose guarded product is bit-identical to
+  /// the unguarded one by contract: there a corrupted cached operand must
+  /// read as a mismatch so its owner re-prepares it.
   bool sec_correction{true};
   /// Hysteresis band for continuous drift (DESIGN.md §16): a residual in
   /// (tolerance, drift_band·tolerance] is *absorbed* — recorded as a
@@ -116,7 +129,6 @@ struct GuardConfig {
 
 /// Verdict for one guarded tile.
 struct TileCheck {
-  std::size_t tile{0};        ///< tile index in scheduler order
   bool ok{true};              ///< every row/column comparison inside the band
   double worst_residual{0.0}; ///< largest |analog sum − digital reference|
   double tolerance{0.0};      ///< band at the worst comparison's site
@@ -162,6 +174,42 @@ struct GuardOutcome {
 
   [[nodiscard]] bool clean() const { return mismatched_tiles == 0; }
 };
+
+/// NaN-safe worst-residual fold: a NaN residual sticks as the worst,
+/// never vanishing under an ordinary comparison.
+inline void fold_worst(double residual, double tolerance, double& worst,
+                       double& worst_tolerance) {
+  if (std::isnan(residual) || residual > worst) {
+    worst = residual;
+    worst_tolerance = tolerance;
+  }
+}
+
+/// Judge one computed tile against its checksum references.  `a` and `b`
+/// are the prepared operands (A as a Bᵀ-form prepare): the golden side of
+/// each is its `reference` when staged, its `encoded` otherwise; A's
+/// checksum stripes are array_rows high, B's array_cols wide.  `rsum` /
+/// `csum` hold the tile's raw (pre-rescale) row and column sums.
+///   * Row lanes (skipped under column_only): Σ_j tile(i,j) vs
+///     ⟨golden x′_i, Σ_j y′_j⟩; column lanes: Σ_i tile(i,j) vs
+///     ⟨Σ_i x′_i, golden y′_j⟩ — each an ascending-p fold.
+///   * Hysteresis band (DESIGN.md §16): residual ≤ tol is clean, ≤
+///     drift_band·tol is absorbed drift, beyond is a mismatch; NaN is
+///     always a mismatch.
+///   * Single-error correction: exactly one bad row lane and one bad
+///     column lane whose residuals agree pinpoint one corrupted element,
+///     repaired in `c` (scaled by `rescale`); the tile then reads ok.
+[[nodiscard]] TileCheck check_tile(const GuardConfig& guard, const Tile& tile, std::size_t k,
+                                   const PreparedOperand& a, const PreparedOperand& b,
+                                   const double* rsum, const double* csum, double rescale,
+                                   Matrix& c);
+
+/// Fold one product's tile verdicts into `out`: mismatch count and first
+/// site, SEC corrections and the NaN-safe worst residual.
+void fold_checks(std::span<const TileCheck> checks, GuardOutcome& out);
+
+/// Tally the absorbed-drift evidence of a product's final verdicts.
+void tally_drift(std::span<const TileCheck> checks, GuardOutcome& out);
 
 /// Checksum-lane events for one h×w tile of reduction length k chunked
 /// over `chunks` WDM passes — the documented extra charge per tile.

@@ -1,11 +1,6 @@
 #include "ptc/gemm_engine.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <span>
-
 #include "common/require.hpp"
-#include "converters/quantizer.hpp"
 
 namespace pdac::ptc {
 
@@ -20,6 +15,9 @@ PhotonicGemm::PhotonicGemm(const core::ModulatorDriver& driver, GemmConfig cfg)
                "PhotonicGemm: kKernelQuant requires a driver whose encode transfer lies "
                "exactly on the quantizer grid (core::BitTrueDacDriver); use "
                "nn::fastest_gemm_config to auto-select a valid path");
+  PDAC_REQUIRE(!(cfg_.guard.enabled && cfg_.guard.column_only),
+               "PhotonicGemm: a column-only guard detects nothing here — its column lanes "
+               "reference the encoded operand itself; use the full guard");
   worker_ddots_.reserve(pool_->size());
   for (std::size_t w = 0; w < pool_->size(); ++w) {
     worker_ddots_.push_back(engine_.make_worker_ddot());
@@ -31,9 +29,9 @@ GemmResult PhotonicGemm::multiply(const Matrix& a, const Matrix& b) const {
   return multiply_prepared(a, prepare_b(b));
 }
 
-OperandBuilder PhotonicGemm::builder(std::uint64_t epoch) const {
+OperandBuilder PhotonicGemm::builder(std::uint64_t epoch, std::size_t checksum_stripe) const {
   const bool quant = cfg_.path == ExecutionPath::kKernelQuant;
-  OperandLayout layout{epoch, {}, false, quant, cfg_.guard.enabled ? cfg_.array_cols : 0};
+  OperandLayout layout{epoch, {}, false, quant, cfg_.guard.enabled ? checksum_stripe : 0};
   return OperandBuilder(
       std::move(layout),
       [this, quant](const EncodeSpan& s) {
@@ -48,12 +46,12 @@ OperandBuilder PhotonicGemm::builder(std::uint64_t epoch) const {
 
 PreparedOperand PhotonicGemm::prepare(const Matrix& src, SourceForm form,
                                       std::uint64_t epoch) const {
-  return builder(epoch).prepare(src, form);
+  return builder(epoch, cfg_.array_cols).prepare(src, form);
 }
 
 bool PhotonicGemm::append(PreparedOperand& pb, const Matrix& src, SourceForm form,
                           std::uint64_t epoch) const {
-  return builder(epoch).append(pb, src, form);
+  return builder(epoch, cfg_.array_cols).append(pb, src, form);
 }
 
 GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperand& b) const {
@@ -74,32 +72,20 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
                  "PhotonicGemm: quant execution needs an operand prepared under the quant "
                  "path (prepare_b with ExecutionPath::kKernelQuant)");
   }
-  const double a_scale = converters::max_abs_scale(a.data());
   const std::size_t k = a.cols();
 
-  // A-side pipeline (normalize + encode), into per-engine scratch; the
-  // quant path captures each element's code alongside its amplitude.
-  norm_scratch_.resize(a.rows(), k);
-  for (std::size_t i = 0; i < a.size(); ++i) norm_scratch_.data()[i] = a.data()[i] / a_scale;
-  encode_scratch_.resize(a.rows(), k);
-  const Matrix& ae = encode_scratch_;
-  if (quant) qcode_scratch_.resize(a.rows(), k);
-  pool_->parallel_for(a.rows(), [&](std::size_t begin, std::size_t end, std::size_t) {
-    for (std::size_t r = begin; r < end; ++r) {
-      if (quant) {
-        engine_.encode_span(norm_scratch_.row(r), encode_scratch_.row(r),
-                            qcode_scratch_.row(r));
-      } else {
-        engine_.encode_span(norm_scratch_.row(r), encode_scratch_.row(r));
-      }
-    }
-  });
+  // A-side pipeline: A is already Bᵀ-shaped, so a kBt prepare into
+  // per-engine scratch encodes its rows — with their codes on the quant
+  // tier and their array_rows-high checksum stripes when guarded.
+  builder(0, cfg_.array_rows).prepare(a, SourceForm::kBt, a_scratch_);
+  const PreparedOperand& pa = a_scratch_;
+  const Matrix& ae = pa.encoded;
 
   GemmResult res;
-  res.a_scale = a_scale;
+  res.a_scale = pa.scale;
   res.b_scale = b.scale;
   res.c = Matrix(a.rows(), b.cols);
-  const double rescale = a_scale * b.scale;
+  const double rescale = pa.scale * b.scale;
 
   partition_tiles_into(a.rows(), b.cols, cfg_.array_rows, cfg_.array_cols, tile_scratch_);
   const std::vector<Tile>& tiles = tile_scratch_;
@@ -110,32 +96,23 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
   // count (the numerics are deterministic element-wise anyway).
   event_scratch_.assign(tiles.size(), EventCounter{});
 
-  // Guard setup: build the A row-stripe checksums (Σ_i x′_i per
-  // array_rows-high stripe) once per product.  References compare
-  // against the *golden* encodings — b.reference when the operand
-  // carries a calibration-state snapshot (faults layer), b.encoded
-  // otherwise (the immutable healthy path, where they coincide).
-  // The raw tile sums compared with them live in two product-wide
-  // arrays, each tile's slice contiguous: rsum[s·m + i] for column
-  // stripe s, csum[(i/H)·n + j] for row stripe i/H.
-  const Matrix& bref = (guarded && b.reference.size() > 0) ? b.reference : b.encoded;
+  // The raw tile sums the guard judges live in two product-wide arrays,
+  // each tile's slice contiguous: rsum[s·m + i] for column stripe s,
+  // csum[(i/H)·n + j] for row stripe i/H.
   const std::size_t m = a.rows();
   const std::size_t n = b.cols;
   double* rsum = nullptr;
   double* csum = nullptr;
+  // Verdicts only: the guarded product stays bit-identical to the
+  // unguarded one, so single-error correction never edits it here — a
+  // corrupted cached operand must read as a mismatch, whose repair is a
+  // re-prepare (nn::PhotonicBackend), not a per-element patch.
+  GuardConfig judge = cfg_.guard;
+  judge.sec_correction = false;
   if (guarded) {
-    const std::size_t row_stripes = (m + cfg_.array_rows - 1) / cfg_.array_rows;
-    const std::size_t col_stripes = (n + cfg_.array_cols - 1) / cfg_.array_cols;
-    xsum_scratch_.resize(row_stripes, k);
-    std::fill(xsum_scratch_.data().begin(), xsum_scratch_.data().end(), 0.0);
-    for (std::size_t i = 0; i < m; ++i) {
-      const auto src = ae.row(i);
-      const auto dst = xsum_scratch_.row(i / cfg_.array_rows);
-      for (std::size_t p = 0; p < k; ++p) dst[p] += src[p];
-    }
     check_scratch_.assign(tiles.size(), TileCheck{});
-    rsum_scratch_.assign(col_stripes * m, 0.0);
-    csum_scratch_.assign(row_stripes * n, 0.0);
+    rsum_scratch_.assign(b.checksum.rows() * m, 0.0);
+    csum_scratch_.assign(pa.checksum.rows() * n, 0.0);
     rsum = rsum_scratch_.data();
     csum = csum_scratch_.data();
   }
@@ -150,8 +127,8 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
   } else if (quant) {
     // The guard below still compares the raw sums against the double
     // references, band unchanged.
-    kernel_.run_product_quant(qcode_scratch_, b.qcodes, cfg_.array_rows, cfg_.array_cols,
-                              rescale, *pool_, res.c, rsum, csum);
+    kernel_.run_product_quant(pa.qcodes, b.qcodes, cfg_.array_rows, cfg_.array_cols, rescale,
+                              *pool_, res.c, rsum, csum);
   }
 
   for_each_tile(*pool_, tiles, [&](std::size_t t, std::size_t worker) {
@@ -190,38 +167,7 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
       }
     }
     if (guarded) {
-      TileCheck check;
-      check.tile = t;
-      // The deterministic band scales with the raw dot magnitudes, which
-      // |x′·y′| ≤ 1 per element bounds by k.
-      const double mag = static_cast<double>(k);
-      const double tol_row = guard_tolerance(cfg_.guard, k, tile.cols, mag);
-      const double tol_col = guard_tolerance(cfg_.guard, k, tile.rows, mag);
-      const auto note = [&check](double residual, double tol) {
-        // NaN residuals must read as mismatches, never as "in band".
-        if (std::isnan(residual) || residual > check.worst_residual) {
-          check.worst_residual = residual;
-          check.tolerance = tol;
-        }
-        if (std::isnan(residual) || residual > tol) check.ok = false;
-      };
-      // Row lanes: Σ_j tile(i,j) vs ⟨golden x′_i, cached Σ_j y′_j⟩.
-      const auto ysum = b.checksum.row(tile.col0 / cfg_.array_cols);
-      for (std::size_t i = tile.row0; i < tile.row0 + tile.rows; ++i) {
-        const auto xr = ae.row(i);
-        double ref = 0.0;
-        for (std::size_t p = 0; p < k; ++p) ref += xr[p] * ysum[p];
-        note(std::abs(trsum[i - tile.row0] - ref), tol_row);
-      }
-      // Column lanes: Σ_i tile(i,j) vs ⟨Σ_i x′_i, golden y′_j⟩.
-      const auto xsum = xsum_scratch_.row(tile.row0 / cfg_.array_rows);
-      for (std::size_t j = tile.col0; j < tile.col0 + tile.cols; ++j) {
-        const auto yr = bref.row(j);
-        double ref = 0.0;
-        for (std::size_t p = 0; p < k; ++p) ref += xsum[p] * yr[p];
-        note(std::abs(tcsum[j - tile.col0] - ref), tol_col);
-      }
-      check_scratch_[t] = check;
+      check_scratch_[t] = check_tile(judge, tile, k, pa, b, trsum, tcsum, rescale, res.c);
     }
   });
 
@@ -230,19 +176,10 @@ GemmResult PhotonicGemm::multiply_prepared(const Matrix& a, const PreparedOperan
   if (guarded) {
     res.guard.enabled = true;
     res.guard.tiles_checked = tiles.size();
-    for (std::size_t t = 0; t < tiles.size(); ++t) {
-      const TileCheck& check = check_scratch_[t];
-      if (!check.ok) {
-        ++res.guard.mismatched_tiles;
-        if (res.guard.first_mismatch == static_cast<std::size_t>(-1)) res.guard.first_mismatch = t;
-      }
-      // NaN-safe fold: a NaN tile residual must stick as the product's
-      // worst, not vanish under an ordinary comparison.
-      if (std::isnan(check.worst_residual) || check.worst_residual > res.guard.worst_residual) {
-        res.guard.worst_residual = check.worst_residual;
-        res.guard.worst_tolerance = check.tolerance;
-      }
-      res.guard.checksum_events += checksum_lane_events(tiles[t].rows, tiles[t].cols, k, chunks);
+    fold_checks(check_scratch_, res.guard);
+    tally_drift(check_scratch_, res.guard);
+    for (const Tile& tile : tiles) {
+      res.guard.checksum_events += checksum_lane_events(tile.rows, tile.cols, k, chunks);
     }
   }
   return res;

@@ -45,9 +45,9 @@
 // ABFT guard (DESIGN.md §12, abft.hpp): with GemmConfig::guard enabled,
 // prepare additionally builds one checksum column per array-width
 // column stripe (cached with the operand) and multiply_prepared runs the
-// checksum lanes alongside every tile, comparing the digitized tile sums
-// against the digital references inside a noise-calibrated band.  The
-// data path is untouched — numerics and EventCounter stay bit-identical
+// checksum lanes alongside every tile, judging each through
+// ptc::check_tile — the same verdict, drift band and single-error
+// correction faults::GuardedBackend applies.  The data path is untouched — numerics and EventCounter stay bit-identical
 // to the unguarded product — and the checksum-lane charge is reported
 // separately in GemmResult::guard.checksum_events.
 #pragma once
@@ -109,7 +109,8 @@ struct GemmConfig {
   std::size_t threads{1};
   /// ABFT checksum guard (abft.hpp).  Off by default; when enabled the
   /// data path and its EventCounter stay bit-identical and the verdicts
-  /// plus checksum-lane charge land in GemmResult::guard.
+  /// plus checksum-lane charge land in GemmResult::guard.  column_only is
+  /// refused at construction (abft.hpp).
   GuardConfig guard{};
   /// Tile-reduction implementation; kKernel by default (bit-identical to
   /// kDeviceGraph, several times faster on the full-optics path).
@@ -176,8 +177,10 @@ class PhotonicGemm {
   [[nodiscard]] const PhotonicDotEngine& engine() const { return engine_; }
 
  private:
-  /// The builder for this engine's encoder, staging through norm_scratch_.
-  [[nodiscard]] OperandBuilder builder(std::uint64_t epoch) const;
+  /// The builder for this engine's encoder, staging through norm_scratch_;
+  /// `checksum_stripe` applies when the guard is on (array_cols for B,
+  /// array_rows for A).
+  [[nodiscard]] OperandBuilder builder(std::uint64_t epoch, std::size_t checksum_stripe) const;
 
   GemmConfig cfg_;
   PhotonicDotEngine engine_;
@@ -193,11 +196,9 @@ class PhotonicGemm {
   std::vector<Ddot> worker_ddots_;
   mutable std::vector<DdotScratch> worker_scratch_;
   mutable Matrix norm_scratch_;
-  mutable Matrix encode_scratch_;
-  mutable CodeMatrix qcode_scratch_;  // quant path: A-side operand codes
+  mutable PreparedOperand a_scratch_;  // the per-product A operand
   mutable std::vector<Tile> tile_scratch_;
   mutable std::vector<EventCounter> event_scratch_;
-  mutable Matrix xsum_scratch_;              // guarded path: A row-stripe checksums
   mutable std::vector<double> rsum_scratch_;  // guarded path: raw tile row sums
   mutable std::vector<double> csum_scratch_;  // guarded path: raw tile column sums
   mutable std::vector<TileCheck> check_scratch_;

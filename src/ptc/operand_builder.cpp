@@ -8,8 +8,8 @@ namespace pdac::ptc {
 
 namespace {
 
-/// The max-abs fold of converters::max_abs_scale without its all-zero
-/// fallback — the raw running maximum PreparedOperand::abs_max records.
+/// The raw running max-abs PreparedOperand::abs_max records; the scale
+/// derived from it falls back to 1.0 for an all-zero operand.
 /// std::max ignores NaN whichever side it lands on, so the fold is
 /// order-independent: B and Bᵀ sources yield the same bits.
 double raw_abs_max(std::span<const double> values) {
@@ -99,28 +99,33 @@ void OperandBuilder::add_checksums(PreparedOperand& pb, std::size_t j0, std::siz
 }
 
 PreparedOperand OperandBuilder::prepare(const Matrix& src, SourceForm form) const {
-  const bool bt = form == SourceForm::kBt;
   PreparedOperand pb;
+  prepare(src, form, pb);
+  return pb;
+}
+
+void OperandBuilder::prepare(const Matrix& src, SourceForm form, PreparedOperand& pb) const {
+  const bool bt = form == SourceForm::kBt;
   pb.rows = bt ? src.cols() : src.rows();
   pb.cols = bt ? src.rows() : src.cols();
   pb.abs_max = raw_abs_max(src.data());
-  pb.scale = pb.abs_max > 0.0 ? pb.abs_max : 1.0;  // == converters::max_abs_scale
+  pb.scale = pb.abs_max > 0.0 ? pb.abs_max : 1.0;
   pb.epoch = layout_.epoch;
   pb.channels = layout_.channels;
 
-  Matrix& norm = staging_;
-  stage_normalized_bt(src, form, 0, pb.scale, norm);
-  pb.encoded = Matrix(pb.cols, pb.rows);
-  if (layout_.reference) pb.reference = Matrix(pb.cols, pb.rows);
-  if (layout_.qcodes) pb.qcodes.resize(pb.cols, pb.rows);
-  encode_rows(pb, norm, 0, 0);
+  // Every staged matrix is fully overwritten below; unstaged ones are
+  // emptied so a reused operand carries nothing of its last layout.
+  stage_normalized_bt(src, form, 0, pb.scale, staging_);
+  pb.encoded.resize(pb.cols, pb.rows);
+  pb.reference.resize(layout_.reference ? pb.cols : 0, layout_.reference ? pb.rows : 0);
+  pb.qcodes.resize(layout_.qcodes ? pb.cols : 0, layout_.qcodes ? pb.rows : 0);
+  encode_rows(pb, staging_, 0, 0);
 
-  if (layout_.checksum_stripe > 0) {
-    pb.checksum_stripe = layout_.checksum_stripe;
-    pb.checksum = Matrix(stripes_of(pb.cols, pb.checksum_stripe), pb.rows);
-    add_checksums(pb, 0, pb.cols, 0, pb.rows);
-  }
-  return pb;
+  const std::size_t stripe = layout_.checksum_stripe;
+  pb.checksum_stripe = stripe;
+  pb.checksum.resize(stripe > 0 ? stripes_of(pb.cols, stripe) : 0, stripe > 0 ? pb.rows : 0);
+  std::ranges::fill(pb.checksum.data(), 0.0);
+  if (stripe > 0) add_checksums(pb, 0, pb.cols, 0, pb.rows);
 }
 
 bool OperandBuilder::append(PreparedOperand& pb, const Matrix& src, SourceForm form) const {

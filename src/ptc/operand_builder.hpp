@@ -1,18 +1,21 @@
-// operand_builder.hpp — the one B-side pipeline behind every prepared
-// GEMM operand (DESIGN.md §10, §17).
+// operand_builder.hpp — the one operand pipeline behind both sides of
+// every photonic GEMM (DESIGN.md §10, §17).
 //
 // A prepared operand is B's encoded transpose: max-abs scale, normalize
 // into the modulators' (−1, 1) domain, encode every output column's
-// reduction row once, and — for guarded execution — sum the encoded
-// columns into one checksum row per array-width stripe.  The backends
+// reduction row once, and — for guarded execution — sum the golden
+// columns into one checksum row per stripe.  The A side is the same
+// pipeline: A (m × k, row-major) already has Bᵀ's shape, so a
+// SourceForm::kBt prepare with checksum_stripe = array_rows yields A's
+// encoded rows and its row-stripe checksums (Σ_i x′_i).  The backends
 // differ only in how a normalized value becomes an amplitude: the
-// engine's LUT (ptc::PhotonicGemm), the lane device carrying each
-// channel (faults::DegradedBackend), or current + golden lane tables
-// (faults::GuardedBackend).  Each hands the builder a span encoder and
-// an OperandLayout naming what it stages; the builder owns the rest —
-// the raw max-abs fold, staging from either source orientation, the
-// pool-parallel encode sweep, the checksum stripes, and in-place appends
-// along either axis with one set of refusal rules.
+// engine's LUT (ptc::PhotonicGemm) or a lane bank's current + golden
+// tables, x rail for A and y rail for B (faults::GuardedBackend).  Each
+// hands the builder a span encoder and an OperandLayout naming what it
+// stages; the builder owns the rest — the raw max-abs fold, staging from
+// either source orientation, the pool-parallel encode sweep, the
+// checksum stripes, and in-place appends along either axis with one set
+// of refusal rules.
 //
 // Appends (decode's K and V operands grow one row per token) are
 // bit-identical to a fresh prepare of the grown source: only the new
@@ -142,6 +145,9 @@ class OperandBuilder {
   OperandBuilder(OperandLayout layout, SpanEncoder encode, ThreadPool& pool, Matrix& staging);
 
   [[nodiscard]] PreparedOperand prepare(const Matrix& src, SourceForm form) const;
+  /// prepare() into `out`, reusing its storage: an operand rebuilt every
+  /// product (the A side) allocates nothing once it has grown to size.
+  void prepare(const Matrix& src, SourceForm form, PreparedOperand& out) const;
 
   /// Extend `pb` in place to the grown source `src`, held in the form
   /// `pb` was prepared from.  Bit-identical to prepare(src, form); false

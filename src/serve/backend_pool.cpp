@@ -10,6 +10,8 @@ namespace pdac::serve {
 
 BackendPool::BackendPool(const BackendPoolConfig& cfg) : cfg_(cfg) {
   PDAC_REQUIRE(cfg_.backends > 0, "BackendPool: need at least one backend");
+  PDAC_REQUIRE(cfg_.guarded.guard.enabled,
+               "BackendPool: an unguarded pool would quarantine nothing and still serve");
   clamped_escalation_ = cfg_.guarded.escalation;
   clamped_escalation_.max_retrims = 0;
   slots_.reserve(cfg_.backends);

@@ -100,7 +100,7 @@ struct BackendPoolConfig {
   /// Fabrication draw shared by every slot: identical seeds give
   /// identical lane physics, the basis of the pool's bit-identity.
   faults::LaneBankConfig bank{};
-  faults::GuardedBackendConfig guarded{};
+  faults::GuardedBackendConfig guarded{};  ///< every slot's backend; the guard must stay on
   HealthScoreConfig health{};
   /// Re-trims each backend may spend per budget window (0 = never
   /// re-trim: the ladder always skips straight from retry to fence).

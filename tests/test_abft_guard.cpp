@@ -291,6 +291,49 @@ TEST(AbftGuard, NanInCorruptedOperandIsNeverInBand) {
   EXPECT_TRUE(std::isnan(res.guard.worst_residual));
 }
 
+TEST(AbftGuard, ColumnOnlyGuardIsRefused) {
+  // The column lanes reference the encoded operand itself, so on this
+  // path a column-only guard could never see a corrupted cached operand.
+  const auto drv = core::make_pdac_driver(8);
+  GemmConfig cfg;
+  cfg.guard.enabled = true;
+  cfg.guard.column_only = true;
+  EXPECT_THROW(PhotonicGemm(*drv, cfg), PreconditionError);
+  cfg.guard.enabled = false;  // meaningless without the guard, not harmful
+  EXPECT_NO_THROW(PhotonicGemm(*drv, cfg));
+}
+
+TEST(AbftGuard, DriftBandAbsorbsSlightlyPerturbedCachedOperand) {
+  // A sub-accuracy wander of one cached amplitude lands just outside the
+  // base tolerance: with the hysteresis band open it is absorbed drift
+  // (recorded, not a mismatch); with the band collapsed it mismatches.
+  // Either way the verdict never edits the product.
+  const auto drv = core::make_pdac_driver(8);
+  Rng rng(21);
+  const Matrix a = Matrix::random_gaussian(24, 16, rng);
+  const Matrix b = Matrix::random_gaussian(16, 24, rng);
+  GemmConfig cfg;
+  cfg.guard.enabled = true;
+  const PhotonicGemm strict(*drv, cfg);
+  cfg.guard.drift_band = 1e6;
+  const PhotonicGemm banded(*drv, cfg);
+
+  PreparedOperand pb = banded.prepare_b(b);
+  pb.encoded.row(13)[3] += 1e-9;
+  const GemmResult absorbed = banded.multiply_prepared(a, pb);
+  EXPECT_GT(absorbed.guard.drift_tiles, 0u);
+  EXPECT_EQ(absorbed.guard.mismatched_tiles, 0u);
+  EXPECT_GT(absorbed.guard.worst_drift_ratio, 1.0);
+  EXPECT_LE(absorbed.guard.worst_drift_ratio, 1e6);
+
+  const GemmResult flagged = strict.multiply_prepared(a, pb);
+  EXPECT_GT(flagged.guard.mismatched_tiles, 0u);
+  EXPECT_EQ(flagged.guard.drift_tiles, 0u);
+  for (std::size_t i = 0; i < absorbed.c.size(); ++i) {
+    ASSERT_EQ(absorbed.c.data()[i], flagged.c.data()[i]) << "element " << i;
+  }
+}
+
 TEST(AbftGuard, PhotonicBackendSurfacesGuardStats) {
   nn::PhotonicBackend unguarded(core::make_pdac_driver(8), ptc::GemmConfig{});
   EXPECT_EQ(unguarded.guard_stats(), nullptr);

@@ -7,8 +7,8 @@
 
 #include "common/require.hpp"
 #include "common/stats.hpp"
-#include "faults/degraded_backend.hpp"
 #include "faults/fault_injector.hpp"
+#include "faults/guarded_backend.hpp"
 #include "faults/self_test.hpp"
 
 namespace {
@@ -215,10 +215,17 @@ TEST(SelfTest, DetectOnlyFencesInsteadOfRecovering) {
   EXPECT_EQ(report.retrims, 0u);
 }
 
+/// The lane-level product with the checksum guard switched off.
+faults::GuardedBackendConfig unguarded() {
+  faults::GuardedBackendConfig cfg;
+  cfg.guard.enabled = false;
+  return cfg;
+}
+
 TEST(DegradedBackend, HealthyBankMatchesReferenceClosely) {
   faults::LaneBank bank(small_bank_config());
   faults::production_trim(bank);
-  faults::DegradedBackend backend(bank);
+  faults::GuardedBackend backend(bank, unguarded());
   Rng rng(3);
   const Matrix a = Matrix::random_gaussian(5, 9, rng, 0.0, 1.0);
   const Matrix b = Matrix::random_gaussian(9, 4, rng, 0.0, 1.0);
@@ -232,7 +239,7 @@ TEST(DegradedBackend, HealthyBankMatchesReferenceClosely) {
 TEST(DegradedBackend, FencedChannelsStretchCycles) {
   faults::LaneBank bank(small_bank_config());
   faults::production_trim(bank);
-  faults::DegradedBackend backend(bank);
+  faults::GuardedBackend backend(bank, unguarded());
   Rng rng(3);
   const Matrix a = Matrix::random_gaussian(4, 16, rng, 0.0, 1.0);
   const Matrix b = Matrix::random_gaussian(16, 4, rng, 0.0, 1.0);
@@ -252,7 +259,7 @@ TEST(DegradedBackend, FencedChannelsStretchCycles) {
 TEST(DegradedBackend, FullyFencedBankIsAnOutage) {
   faults::LaneBank bank(small_bank_config());
   for (std::size_t i = 0; i < bank.lanes(); ++i) bank.lane(i).fenced = true;
-  faults::DegradedBackend backend(bank);
+  faults::GuardedBackend backend(bank, unguarded());
   Rng rng(3);
   const Matrix a = Matrix::random_gaussian(2, 4, rng, 0.0, 1.0);
   const Matrix b = Matrix::random_gaussian(4, 2, rng, 0.0, 1.0);

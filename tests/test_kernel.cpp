@@ -15,7 +15,6 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "converters/electrical_adc.hpp"
-#include "faults/degraded_backend.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/guarded_backend.hpp"
 #include "faults/lane_table.hpp"
@@ -563,11 +562,12 @@ TEST(LaneEncodeTable, DegradedBackendTableOnOffBitIdentical) {
   bank.lane(0, 3).fenced = true;
   bank.bump_epoch();
 
-  faults::DegradedBackendConfig on;
-  faults::DegradedBackendConfig off;
+  faults::GuardedBackendConfig on;
+  on.guard.enabled = false;
+  faults::GuardedBackendConfig off = on;
   off.use_lane_table = false;
-  faults::DegradedBackend with_table(bank, on);
-  faults::DegradedBackend without(bank, off);
+  faults::GuardedBackend with_table(bank, on);
+  faults::GuardedBackend without(bank, off);
 
   Rng rng(3);
   const Matrix a = Matrix::random_gaussian(12, 19, rng, 0.0, 1.0);

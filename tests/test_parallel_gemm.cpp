@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "faults/degraded_backend.hpp"
+#include "faults/guarded_backend.hpp"
 #include "faults/lane_bank.hpp"
 #include "ptc/gemm_engine.hpp"
 #include "ptc/tile_scheduler.hpp"
@@ -158,12 +158,13 @@ TEST(ParallelGemm, DegradedBackendBitIdenticalToSerial) {
   bank.lane(0, 2).fenced = true;  // kill one channel on the x rail
   bank.lane(1, 5).fenced = true;  // and another on the y rail
 
-  faults::DegradedBackendConfig serial_cfg;
+  faults::GuardedBackendConfig serial_cfg;
+  serial_cfg.guard.enabled = false;
   serial_cfg.threads = 1;
-  faults::DegradedBackendConfig par_cfg;
+  faults::GuardedBackendConfig par_cfg = serial_cfg;
   par_cfg.threads = 4;
-  faults::DegradedBackend serial(bank, serial_cfg);
-  faults::DegradedBackend parallel(bank, par_cfg);
+  faults::GuardedBackend serial(bank, serial_cfg);
+  faults::GuardedBackend parallel(bank, par_cfg);
 
   Rng rng(606);
   const Matrix a = Matrix::random_gaussian(11, 26, rng);

@@ -11,6 +11,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/require.hpp"
 #include "common/rng.hpp"
 #include "serve/engine.hpp"
 #include "serve/workload.hpp"
@@ -56,6 +57,14 @@ std::vector<nn::Linear> make_models(std::size_t count, std::size_t d, std::uint6
 void force_excursion(serve::BackendPool& pool, std::size_t i) {
   for (int n = 0; n < 4; ++n) pool.backend(i).drift().observe_residual({0}, 50.0);
   ASSERT_GE(pool.backend(i).drift().excursion_lanes(), 1u);
+}
+
+TEST(BackendPool, RejectsAnUnguardedBackendConfig) {
+  // Quarantine, canaries and the re-trim budget all read guard verdicts;
+  // without the guard the pool would serve corrupted products unnoticed.
+  serve::BackendPoolConfig cfg = quarantine_pool_config(2);
+  cfg.guarded.guard.enabled = false;
+  EXPECT_THROW(serve::BackendPool pool(cfg), PreconditionError);
 }
 
 TEST(BackendPool, RetrimWindowBudgetRefillsExactlyAtCycleBoundaries) {

@@ -11,8 +11,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "faults/degraded_backend.hpp"
 #include "faults/fault_injector.hpp"
+#include "faults/guarded_backend.hpp"
 #include "faults/lane_bank.hpp"
 #include "faults/self_test.hpp"
 #include "nn/backend.hpp"
@@ -399,11 +399,18 @@ faults::LaneBankConfig varied_bank_config(std::size_t wavelengths) {
   return cfg;
 }
 
+/// The lane-level product with the checksum guard switched off.
+faults::GuardedBackendConfig unguarded() {
+  faults::GuardedBackendConfig cfg;
+  cfg.guard.enabled = false;
+  return cfg;
+}
+
 TEST(DegradedBackendCache, WarmMatchesColdAndUncached) {
   faults::LaneBank bank(varied_bank_config(6));
   faults::production_trim(bank);
-  faults::DegradedBackend cached(bank);
-  faults::DegradedBackend uncached(bank);
+  faults::GuardedBackend cached(bank, unguarded());
+  faults::GuardedBackend uncached(bank, unguarded());
 
   nn::Linear layer(10, 7);
   Rng rng(13);
@@ -423,7 +430,7 @@ TEST(DegradedBackendCache, WarmMatchesColdAndUncached) {
 // pre-trim encoding differs — serving it stale WOULD change the output.)
 TEST(DegradedBackendCache, RetrimBetweenStepsForcesReencode) {
   faults::LaneBank bank(varied_bank_config(6));  // untrimmed: variation in play
-  faults::DegradedBackend cached(bank);
+  faults::GuardedBackend cached(bank, unguarded());
 
   nn::Linear layer(12, 8);
   Rng rng(29);
@@ -444,7 +451,7 @@ TEST(DegradedBackendCache, RetrimBetweenStepsForcesReencode) {
 
   // Fresh backend on the *post-trim* bank = ground truth without any
   // cache history; a stale encoding could not match it.
-  faults::DegradedBackend fresh(bank);
+  faults::GuardedBackend fresh(bank, unguarded());
   expect_bit_identical(after, layer.forward(x, fresh), "post-trim vs fresh backend");
 
   // And the trim genuinely changed the encoding, so reuse would have
@@ -469,7 +476,7 @@ TEST(DegradedBackendCache, FaultInjectionInvalidatesBetweenSteps) {
   sched.seed = 5;
   faults::FaultInjector injector(bank, faults::generate_fault_schedule(sched));
 
-  faults::DegradedBackend cached(bank);
+  faults::GuardedBackend cached(bank, unguarded());
   nn::Linear layer(9, 6);
   Rng rng(31);
   layer.init_random(rng);
@@ -480,7 +487,7 @@ TEST(DegradedBackendCache, FaultInjectionInvalidatesBetweenSteps) {
 
   const Matrix after = layer.forward(x, cached);
   EXPECT_GE(cached.operand_cache()->stats().invalidations, 1u);
-  faults::DegradedBackend fresh(bank);
+  faults::GuardedBackend fresh(bank, unguarded());
   expect_bit_identical(after, layer.forward(x, fresh), "post-fault vs fresh backend");
 }
 
@@ -489,7 +496,7 @@ TEST(DegradedBackendCache, FaultInjectionInvalidatesBetweenSteps) {
 TEST(DegradedBackendCache, DirectFenceIsCaughtByChannelSnapshot) {
   faults::LaneBank bank(varied_bank_config(5));
   faults::production_trim(bank);
-  faults::DegradedBackend cached(bank);
+  faults::GuardedBackend cached(bank, unguarded());
 
   nn::Linear layer(8, 5);
   Rng rng(41);
@@ -501,7 +508,7 @@ TEST(DegradedBackendCache, DirectFenceIsCaughtByChannelSnapshot) {
 
   const Matrix after = layer.forward(x, cached);
   EXPECT_GE(cached.operand_cache()->stats().invalidations, 1u);
-  faults::DegradedBackend fresh(bank);
+  faults::GuardedBackend fresh(bank, unguarded());
   expect_bit_identical(after, layer.forward(x, fresh), "post-fence vs fresh backend");
 }
 
